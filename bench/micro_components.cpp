@@ -1,6 +1,6 @@
-// Micro-benchmarks (google-benchmark) for the hot components: event
-// queue, min-cost-flow planner, placement construction, coverage
-// queries, battery stepping and the solar model.
+// Micro-benchmarks (google-benchmark) for the hot components:
+// min-cost-flow planner, placement construction, coverage queries,
+// battery stepping and the solar model.
 //
 // `--json=<path>` (stripped before benchmark::Initialize sees argv)
 // appends one BenchRecord per benchmark — real time plus every user
@@ -19,7 +19,6 @@
 #include "energy/battery.hpp"
 #include "energy/solar.hpp"
 #include "obs/recorder.hpp"
-#include "sim/simulator.hpp"
 #include "storage/cluster.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -27,21 +26,6 @@
 namespace {
 
 using namespace gm;
-
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  for (auto _ : state) {
-    sim::Simulator sim;
-    for (std::size_t i = 0; i < n; ++i)
-      sim.schedule_at(static_cast<SimTime>(rng.uniform_u64(1'000'000)),
-                      [] {});
-    sim.run();
-    benchmark::DoNotOptimize(sim.events_executed());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(16384);
 
 void BM_MinCostFlowAssignment(benchmark::State& state) {
   const int tasks = static_cast<int>(state.range(0));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -149,8 +150,17 @@ SimulationEngine::SimulationEngine(const ExperimentConfig& config,
     slot_green_j_[s] = supply_->energy_j(a, a + config_.slot_length_s);
   }
 
+  // Requests are routed in index order (route_requests) and tasks are
+  // released in index order (admit_released_tasks), so both must come
+  // sorted. The request check rides on the fg_util_ pass.
   const auto& disk = config_.cluster.node.disk;
+  SimTime last_arrival = 0;
   for (const auto& r : workload_->requests) {
+    GM_CHECK(r.arrival >= last_arrival,
+             "workload requests must be sorted by arrival, starting at "
+             "0: request " << r.id << " arrives at " << r.arrival
+                           << " after " << last_arrival);
+    last_arrival = r.arrival;
     const double service =
         disk.avg_seek_s +
         static_cast<double>(r.size_bytes) / disk.bandwidth_bytes_per_s;
@@ -159,6 +169,16 @@ SimulationEngine::SimulationEngine(const ExperimentConfig& config,
       fg_util_[s] += service * config_.foreground_cpu_factor /
                      static_cast<double>(config_.slot_length_s);
   }
+  const auto& tasks = workload_->tasks;
+  const auto unsorted = std::adjacent_find(
+      tasks.begin(), tasks.end(),
+      [](const storage::BackgroundTask& a,
+         const storage::BackgroundTask& b) { return b.release < a.release; });
+  GM_CHECK(unsorted == tasks.end(),
+           "workload tasks must be sorted by release: task "
+               << std::next(unsorted)->id << " is released at "
+               << std::next(unsorted)->release << " after "
+               << unsorted->release);
 
   if (config_.arrivals.enabled) {
     arrival_stream_ = std::make_unique<workload::ArrivalStream>(
@@ -506,15 +526,14 @@ void SimulationEngine::route_requests(SlotIndex slot, SimTime start,
                                        SimTime now) -> SimTime {
     return power_.force_wake_for_group(group, now, slot);
   };
+  // The constructor checked that requests are sorted by arrival, so
+  // index order is arrival order.
   while (next_request_index_ < workload_->requests.size() &&
          workload_->requests[next_request_index_].arrival < end) {
     const auto& req = workload_->requests[next_request_index_++];
     GM_ASSERT(req.arrival >= start);
-    simulator_.schedule_at(req.arrival, [this, &req, &waker] {
-      router_.route(req, simulator_.now(), waker);
-    });
+    router_.route(req, req.arrival, waker);
   }
-  simulator_.run_until(end);
 }
 
 SlotIndex SimulationEngine::total_slots() const {

@@ -3,7 +3,7 @@
 // policy and power manager into one slot-driven run and produces a
 // metrics::RunResult. Two fidelities share the same energy accounting;
 // event-level additionally routes every foreground request through the
-// disk model on the DES kernel for QoS metrics.
+// disk model, one at a time in arrival order, for QoS metrics.
 //
 // Per-slot sequence (DESIGN.md §3):
 //   1. admit released tasks, sort pending by deadline
@@ -12,9 +12,10 @@
 //      hysteresis, transition energy)
 //   4. tasks are assigned to active replica nodes (urgent first);
 //      migrations of displaced tasks are charged
-//   5. demand is integrated, the balance green-direct → battery →
+//   5. (event mode) requests inside the slot are routed; the forced
+//      wake-ups they cause are charged to this slot in step 6
+//   6. demand is integrated, the balance green-direct → battery →
 //      grid is settled, the ledger row is appended
-//   6. (event mode) requests inside the slot are routed
 
 #include <memory>
 #include <vector>
@@ -30,9 +31,10 @@
 #include "energy/ledger.hpp"
 #include "metrics/report.hpp"
 #include "obs/recorder.hpp"
-#include "sim/simulator.hpp"
+#include "sim/stats.hpp"
 #include "storage/cluster.hpp"
 #include "storage/router.hpp"
+#include "util/assert.hpp"
 #include "workload/generator.hpp"
 
 namespace gm::core {
@@ -53,6 +55,9 @@ class SimulationEngine {
   /// gets the run manifest written at construction and per-slot
   /// telemetry during the run. Observability never alters simulation
   /// behavior: a run with a recorder is bit-identical to one without.
+  /// Throws gm::InvalidArgument on an invalid config, or on a workload
+  /// whose requests are not sorted by arrival (from 0) or whose tasks
+  /// are not sorted by release.
   explicit SimulationEngine(const ExperimentConfig& config,
                             std::shared_ptr<obs::Recorder> recorder =
                                 nullptr);
@@ -188,7 +193,6 @@ class SimulationEngine {
   std::unique_ptr<SchedulerPolicy> policy_;
   PowerManager power_;
   storage::RequestRouter router_;
-  sim::Simulator simulator_;
   ClusterFacts facts_;
   SlotGrid slots_;
   /// Rolling per-slot observation buffer (see make_context).

@@ -1,7 +1,6 @@
 #include "core/mincost_flow.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <climits>
 #include <functional>
 
@@ -59,9 +58,6 @@ std::uint64_t MinCostFlow::arena_bytes() const {
   bytes += prev_node_.capacity() * sizeof(int);
   bytes += prev_edge_.capacity() * sizeof(int);
   bytes += heap_.capacity() * sizeof(heap_[0]);
-  bytes += radix_buckets_.capacity() * sizeof(radix_buckets_[0]);
-  for (const auto& bucket : radix_buckets_)
-    bytes += bucket.capacity() * sizeof(bucket[0]);
   bytes += scaling_.bytes();
   bytes += ext_arcs_.capacity() * sizeof(ext_arcs_[0]);
   return bytes;
@@ -132,10 +128,7 @@ MinCostFlow::Result MinCostFlow::run_ssp(NodeIdx s, NodeIdx t,
   Result result;
   while (result.flow < max_flow) {
     ++last_stats_.dijkstra_runs;
-    const bool reached = queue_ == QueueKind::kRadix
-                             ? dijkstra_radix(s, t)
-                             : dijkstra_binary(s, t);
-    if (!reached) break;  // no augmenting path
+    if (!dijkstra(s, t)) break;  // no augmenting path
     ++last_stats_.augmenting_paths;
 
     // Johnson potential update, clamped at dist[t]. For settled nodes
@@ -164,7 +157,7 @@ MinCostFlow::Result MinCostFlow::run_ssp(NodeIdx s, NodeIdx t,
   return result;
 }
 
-bool MinCostFlow::dijkstra_binary(NodeIdx s, NodeIdx t) {
+bool MinCostFlow::dijkstra(NodeIdx s, NodeIdx t) {
   // Dijkstra on reduced costs. The heap is an explicit binary heap
   // on a member vector (same pop order as std::priority_queue, but
   // the storage survives across augmentations and solves).
@@ -205,68 +198,6 @@ bool MinCostFlow::dijkstra_binary(NodeIdx s, NodeIdx t) {
       }
     }
   }
-  last_stats_.dijkstra_pops += pops;
-  last_stats_.dijkstra_relaxations += relaxations;
-  return dist_[t] < kInfCost;
-}
-
-bool MinCostFlow::dijkstra_radix(NodeIdx s, NodeIdx t) {
-  // Monotone (radix) heap: Dijkstra's pop keys never decrease, so an
-  // entry with key k lives in bucket bit_width(k ^ last_popped_key).
-  // When the lowest non-empty bucket is redistributed, its minimum
-  // becomes the new reference key and lands in bucket 0; entries in
-  // higher buckets provably keep their bucket index, so each entry
-  // moves O(word size) times total instead of paying O(log n) per
-  // heap operation.
-  constexpr int kBuckets = 65;  // bit_width of a 64-bit xor is <= 64
-  radix_buckets_.resize(kBuckets);
-  for (auto& b : radix_buckets_) b.clear();
-  std::fill(dist_.begin(), dist_.end(), kInfCost);
-  dist_[s] = 0;
-  long long last = 0;
-  const auto bucket_of = [&](long long key) {
-    return std::bit_width(
-        static_cast<unsigned long long>(key ^ last));
-  };
-  radix_buckets_[0].emplace_back(0, s);
-  std::size_t live = 1;
-  std::uint64_t pops = 0;
-  std::uint64_t relaxations = 0;
-  while (live > 0) {
-    if (radix_buckets_[0].empty()) {
-      int b = 1;
-      while (radix_buckets_[b].empty()) ++b;
-      auto& bucket = radix_buckets_[b];
-      long long min_key = bucket.front().first;
-      for (const auto& [k, v] : bucket) min_key = std::min(min_key, k);
-      last = min_key;
-      for (const auto& entry : bucket)
-        radix_buckets_[bucket_of(entry.first)].push_back(entry);
-      bucket.clear();
-    }
-    const auto [d, u] = radix_buckets_[0].back();
-    radix_buckets_[0].pop_back();
-    --live;
-    ++pops;
-    if (d > dist_[u]) continue;
-    if (u == t) break;  // early exit; caller clamps potentials
-    for (int i = 0; i < static_cast<int>(graph_[u].size()); ++i) {
-      const Edge& e = graph_[u][i];
-      if (e.capacity <= 0) continue;
-      ++relaxations;
-      const long long nd = d + e.cost + potential_[u] - potential_[e.to];
-      GM_ASSERT_MSG(e.cost + potential_[u] - potential_[e.to] >= 0,
-                    "negative reduced cost — potentials invalid");
-      if (nd < dist_[e.to]) {
-        dist_[e.to] = nd;
-        prev_node_[e.to] = u;
-        prev_edge_[e.to] = i;
-        radix_buckets_[bucket_of(nd)].emplace_back(nd, e.to);
-        ++live;
-      }
-    }
-  }
-  for (auto& b : radix_buckets_) b.clear();
   last_stats_.dijkstra_pops += pops;
   last_stats_.dijkstra_relaxations += relaxations;
   return dist_[t] < kInfCost;

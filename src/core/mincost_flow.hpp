@@ -21,10 +21,9 @@
 //    against the non-negative-reduced-cost invariant and silently
 //    dropped (zero re-init) if the new network violates it, so a warm
 //    start can never change correctness — only the work per Dijkstra.
-//  - a monotone radix-heap priority queue (set_queue) for the
-//    small-integer-cost regime: Dijkstra's pop sequence is
-//    non-decreasing, so a 65-bucket radix structure replaces the
-//    binary heap's O(log n) pushes with O(1) amortized bucket moves.
+//  - incremental cost scaling: under kCostScaling, solve() patches the
+//    residual network retained from the previous solve instead of
+//    rebuilding it (set_solver / set_incremental below).
 
 #include <climits>
 #include <cstdint>
@@ -40,15 +39,9 @@ class MinCostFlow {
   using NodeIdx = int;
   static constexpr long long kInfCost = LLONG_MAX / 4;
 
-  /// Priority queue driving the per-augmentation Dijkstra.
-  enum class QueueKind : std::uint8_t {
-    kBinaryHeap = 0,  ///< explicit binary heap, (dist, node) tiebreak
-    kRadix,           ///< monotone radix heap (small-integer costs)
-  };
-
   /// Which algorithm solve() runs. Both return an exact minimum-cost
   /// maximum flow (same flow value, same objective); which of several
-  /// equal-cost optima is returned may differ, as with QueueKind.
+  /// equal-cost optima is returned may differ.
   enum class SolverKind : std::uint8_t {
     kSuccessiveShortestPath = 0,  ///< Dijkstra + Johnson potentials
     kCostScaling,  ///< ε-scaling push-relabel (mincost_flow_scaling)
@@ -86,8 +79,8 @@ class MinCostFlow {
     std::uint64_t augmenting_paths = 0;
     bool warm = false;            ///< warm potentials accepted
     /// Bytes of solver scratch held across solves (the reset() arena):
-    /// adjacency storage, potentials, labels, heap and radix buckets,
-    /// and the cost-scaling core's retained residual network.
+    /// adjacency storage, potentials, labels, heap, and the
+    /// cost-scaling core's retained residual network.
     std::uint64_t arena_bytes = 0;
     // Cost-scaling fields, zero under kSuccessiveShortestPath (see
     // docs/solver.md for the glossary):
@@ -125,13 +118,6 @@ class MinCostFlow {
   /// them (possibly shifted/clamped by the caller) into the next
   /// solve's warm start.
   const std::vector<long long>& potentials() const { return potential_; }
-
-  /// Selects the Dijkstra priority queue. Both kinds produce a
-  /// minimum-cost flow; equal-distance pop *order* differs, so callers
-  /// that care about which of several equal-cost optima is returned
-  /// must pick one kind and stick with it.
-  void set_queue(QueueKind kind) { queue_ = kind; }
-  QueueKind queue() const { return queue_; }
 
   /// Selects the solving algorithm. Switching kinds drops any retained
   /// cost-scaling state, so the next kCostScaling solve builds cold.
@@ -189,8 +175,7 @@ class MinCostFlow {
   Result run_ssp(NodeIdx s, NodeIdx t, long long max_flow);
   /// kCostScaling path, defined in mincost_flow_scaling.cpp.
   Result run_cost_scaling(NodeIdx s, NodeIdx t, long long max_flow);
-  bool dijkstra_binary(NodeIdx s, NodeIdx t);
-  bool dijkstra_radix(NodeIdx s, NodeIdx t);
+  bool dijkstra(NodeIdx s, NodeIdx t);
   /// Resets last_stats_ and fills the per-solve network/arena fields.
   void begin_stats(bool warm);
   std::uint64_t arena_bytes() const;
@@ -202,7 +187,6 @@ class MinCostFlow {
   /// (node, edge list index) of each externally added edge.
   std::vector<std::pair<NodeIdx, int>> edge_refs_;
 
-  QueueKind queue_ = QueueKind::kBinaryHeap;
   SolverKind solver_ = SolverKind::kSuccessiveShortestPath;
   bool incremental_ = true;  ///< only consulted under kCostScaling
   std::uint64_t warm_accepts_ = 0;
@@ -222,9 +206,6 @@ class MinCostFlow {
   std::vector<int> prev_node_;
   std::vector<int> prev_edge_;
   std::vector<std::pair<long long, NodeIdx>> heap_;
-  /// Radix-heap buckets: entry (key, node), bucket = bit position of
-  /// the highest bit where key differs from the last popped key.
-  std::vector<std::vector<std::pair<long long, NodeIdx>>> radix_buckets_;
 };
 
 }  // namespace gm::core

@@ -175,7 +175,7 @@ TEST_P(RandomAssignment, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomAssignment,
                          ::testing::Range(1, 21));
 
-// ---- warm starts and the radix queue --------------------------------
+// ---- warm starts -----------------------------------------------------
 
 /// A reusable random layered instance roughly shaped like the planner
 /// network: source → mid layer → late layer → sink, mixed capacities.
@@ -306,29 +306,6 @@ TEST_P(WarmStart, SizeMismatchFallsBackToCold) {
   EXPECT_EQ(r.cost, cold.cost);
 }
 
-TEST_P(WarmStart, RadixQueueMatchesBinaryHeap) {
-  const RandomNetwork net(static_cast<std::uint64_t>(GetParam()));
-  MinCostFlow f(1);
-  net.build(f);
-  const auto binary = f.solve(0, net.nodes - 1);
-
-  f.set_queue(MinCostFlow::QueueKind::kRadix);
-  auto ids = net.build(f);
-  const auto radix = f.solve(0, net.nodes - 1);
-  EXPECT_EQ(radix.flow, binary.flow);
-  EXPECT_EQ(radix.cost, binary.cost);
-  expect_reduced_costs_nonnegative(net, f, ids);
-
-  // Warm-started radix solve still agrees.
-  const auto warm_seed = bellman_potentials(net);
-  net.build(f);
-  const auto before = f.warm_accepts();
-  const auto warm = f.solve(0, net.nodes - 1, LLONG_MAX / 4, warm_seed);
-  EXPECT_EQ(f.warm_accepts(), before + 1);
-  EXPECT_EQ(warm.flow, binary.flow);
-  EXPECT_EQ(warm.cost, binary.cost);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, WarmStart, ::testing::Range(1, 26));
 
 TEST(MinCostFlow, SolveStatsCountWork) {
@@ -373,32 +350,6 @@ TEST(MinCostFlow, SolveStatsResetPerSolveAndMarkWarm) {
   EXPECT_TRUE(f.last_stats().warm);
   EXPECT_LE(f.last_stats().dijkstra_runs, cold_runs);
   EXPECT_EQ(f.last_stats().arcs, 1u);
-}
-
-TEST(MinCostFlowRadix, MatchesBruteForceAssignment) {
-  for (int seed = 1; seed <= 20; ++seed) {
-    Rng rng(static_cast<std::uint64_t>(seed));
-    const int n = 3 + static_cast<int>(rng.uniform_u64(3));
-    const int m = n + static_cast<int>(rng.uniform_u64(2));
-    std::vector<std::vector<long long>> cost(
-        n, std::vector<long long>(m));
-    for (auto& row : cost)
-      for (auto& c : row)
-        c = static_cast<long long>(rng.uniform_u64(50));
-
-    MinCostFlow f(n + m + 2);
-    f.set_queue(MinCostFlow::QueueKind::kRadix);
-    const int sink = n + m + 1;
-    for (int i = 0; i < n; ++i) f.add_edge(0, 1 + i, 1, 0);
-    for (int i = 0; i < n; ++i)
-      for (int s = 0; s < m; ++s)
-        f.add_edge(1 + i, 1 + n + s, 1, cost[i][s]);
-    for (int s = 0; s < m; ++s) f.add_edge(1 + n + s, sink, 1, 0);
-
-    const auto r = f.solve(0, sink);
-    EXPECT_EQ(r.flow, n) << "seed " << seed;
-    EXPECT_EQ(r.cost, brute_force_assignment(cost)) << "seed " << seed;
-  }
 }
 
 // ---- the cost-scaling solver ----------------------------------------

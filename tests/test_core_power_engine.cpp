@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <memory>
+#include <utility>
 
 #include "core/engine.hpp"
 #include "core/power_manager.hpp"
@@ -292,6 +295,55 @@ TEST(Engine, ValidationCatchesShortSolarHorizon) {
   auto config = fast_config(PolicyKind::kAsap);
   config.solar.horizon_days = 1;  // run is 3 days + drain
   EXPECT_THROW(SimulationEngine{config}, InvalidArgument);
+}
+
+// The engine routes requests and releases tasks in index order, so it
+// must refuse a preset workload that is not sorted.
+ExperimentConfig event_config_with(workload::Workload w) {
+  auto config = fast_config(PolicyKind::kGreenMatch);
+  config.fidelity = Fidelity::kEventLevel;
+  config.preset_workload =
+      std::make_shared<const workload::Workload>(std::move(w));
+  return config;
+}
+
+workload::Workload fast_workload() {
+  const auto config = fast_config(PolicyKind::kGreenMatch);
+  return workload::generate_workload(
+      config.workload, config.cluster.placement.group_count);
+}
+
+TEST(Engine, RejectsRequestsOutOfArrivalOrder) {
+  auto w = fast_workload();
+  EXPECT_NO_THROW(SimulationEngine{event_config_with(w)});
+
+  // Swap two requests that arrive at different times within one slot.
+  auto& requests = w.requests;
+  const auto it = std::adjacent_find(
+      requests.begin(), requests.end(),
+      [](const storage::IoRequest& a, const storage::IoRequest& b) {
+        return a.arrival < b.arrival && a.arrival / 3600 == b.arrival / 3600;
+      });
+  ASSERT_NE(it, requests.end());
+  std::iter_swap(it, std::next(it));
+  EXPECT_THROW(SimulationEngine{event_config_with(w)}, InvalidArgument);
+
+  // Sorted again, but the first request arrives before time 0.
+  std::iter_swap(it, std::next(it));
+  requests.front().arrival = -1;
+  EXPECT_THROW(SimulationEngine{event_config_with(w)}, InvalidArgument);
+}
+
+TEST(Engine, RejectsTasksOutOfReleaseOrder) {
+  auto w = fast_workload();
+  auto& tasks = w.tasks;
+  const auto it = std::adjacent_find(
+      tasks.begin(), tasks.end(),
+      [](const storage::BackgroundTask& a,
+         const storage::BackgroundTask& b) { return a.release < b.release; });
+  ASSERT_NE(it, tasks.end());
+  std::iter_swap(it, std::next(it));
+  EXPECT_THROW(SimulationEngine{event_config_with(w)}, InvalidArgument);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "energy/battery.hpp"
 #include "util/assert.hpp"
@@ -216,6 +217,14 @@ struct BatteryCase {
   BatteryTechnology tech;
   double capacity_kwh;
 };
+
+// Names each case ("lead-acid 40 kWh") in gtest output and in the ctest
+// names discovered from it. Without this gtest dumps the struct's raw
+// bytes, padding included, and the padding holds leftover stack data
+// that changes from one process to the next.
+void PrintTo(const BatteryCase& c, std::ostream* os) {
+  *os << battery_technology_name(c.tech) << ' ' << c.capacity_kwh << " kWh";
+}
 
 class BatteryConservation
     : public ::testing::TestWithParam<BatteryCase> {};
