@@ -47,19 +47,6 @@ void BM_MinCostFlowAssignment(benchmark::State& state) {
 }
 BENCHMARK(BM_MinCostFlowAssignment)->Arg(32)->Arg(128);
 
-void BM_PlacementBuild(benchmark::State& state) {
-  storage::ClusterConfig config;
-  config.racks = 4;
-  config.nodes_per_rack = static_cast<int>(state.range(0)) / 4;
-  config.placement.group_count = 1024;
-  config.placement.replication = 3;
-  for (auto _ : state) {
-    storage::Cluster cluster(config);
-    benchmark::DoNotOptimize(cluster.node_count());
-  }
-}
-BENCHMARK(BM_PlacementBuild)->Arg(64)->Arg(256);
-
 void BM_ChooseActiveSet(benchmark::State& state) {
   storage::ClusterConfig config;
   config.racks = 4;
@@ -147,6 +134,24 @@ core::ExperimentConfig massive_fleet_config(int scale) {
   config.policy.deferral_fraction = 1.0;
   return config;
 }
+
+// Cluster set-up (rendezvous placement of every group) at the fleet
+// tiers: 1,280 nodes / 1,024 groups at Arg(1), 10,240 / 8,192 at
+// Arg(8), 102,400 / 81,920 at Arg(80). One build per iteration.
+void BM_PlacementBuild(benchmark::State& state) {
+  const auto config =
+      massive_fleet_config(static_cast<int>(state.range(0))).cluster;
+  for (auto _ : state) {
+    storage::Cluster cluster(config);
+    benchmark::DoNotOptimize(cluster.node_count());
+  }
+}
+BENCHMARK(BM_PlacementBuild)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(80)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 // One full week per iteration against a trace generated once outside
 // the timing loop; plan_ms_per_run isolates the planner from the rest

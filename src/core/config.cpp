@@ -1,5 +1,7 @@
 #include "core/config.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace gm::core {
@@ -38,6 +40,27 @@ void ExperimentConfig::validate() const {
     GM_CHECK(f.fail_at >= 0, "failure before simulation start");
     GM_CHECK(f.recover_at == 0 || f.recover_at > f.fail_at,
              "recovery must follow failure");
+  }
+  // One node's outages may not overlap: the engine would count the
+  // node failed twice, emit a second round of repair tasks and let the
+  // earlier recovery end the later outage. Recovering at the instant
+  // of the next failure is fine; a permanent failure (recover 0)
+  // overlaps everything after it.
+  auto by_node = node_failures;
+  std::sort(by_node.begin(), by_node.end(),
+            [](const NodeFailureEvent& a, const NodeFailureEvent& b) {
+              if (a.node != b.node) return a.node < b.node;
+              return a.fail_at < b.fail_at;
+            });
+  for (std::size_t i = 1; i < by_node.size(); ++i) {
+    const NodeFailureEvent& prev = by_node[i - 1];
+    const NodeFailureEvent& next = by_node[i];
+    GM_CHECK(prev.node != next.node ||
+                 (prev.recover_at != 0 && prev.recover_at <= next.fail_at),
+             "overlapping failures on node "
+                 << next.node << ": " << prev.node << "@" << prev.fail_at
+                 << "@" << prev.recover_at << " and " << next.node << "@"
+                 << next.fail_at << "@" << next.recover_at);
   }
   const int horizon_days =
       static_cast<int>(s_to_days(static_cast<double>(

@@ -17,9 +17,13 @@ PowerManager::PowerManager(storage::Cluster& cluster, int min_dwell_slots)
   GM_CHECK(min_dwell_slots >= 0, "negative dwell");
 }
 
-void PowerManager::recompute_min_feasible() {
-  min_feasible_ = storage::Cluster::active_count(
-      cluster_.choose_active_set(0, &failed_));
+int PowerManager::min_feasible() const {
+  if (min_feasible_stale_) {
+    min_feasible_ = storage::Cluster::active_count(
+        cluster_.choose_active_set(0, &failed_));
+    min_feasible_stale_ = false;
+  }
+  return min_feasible_;
 }
 
 void PowerManager::fail_node(storage::NodeId node, SimTime now) {
@@ -36,7 +40,7 @@ void PowerManager::fail_node(storage::NodeId node, SimTime now) {
     }
   }
   active_[node] = false;
-  recompute_min_feasible();
+  min_feasible_stale_ = true;
 }
 
 void PowerManager::recover_node(storage::NodeId node, SimTime,
@@ -45,7 +49,7 @@ void PowerManager::recover_node(storage::NodeId node, SimTime,
   if (!failed_[node]) return;
   failed_[node] = false;
   last_change_[node] = slot;  // repaired node is dwell-protected off
-  recompute_min_feasible();
+  min_feasible_stale_ = true;
 }
 
 PowerManager::Transition PowerManager::apply_target(SlotIndex slot,
@@ -54,7 +58,7 @@ PowerManager::Transition PowerManager::apply_target(SlotIndex slot,
   const int healthy = static_cast<int>(cluster_.node_count()) -
                       static_cast<int>(std::count(failed_.begin(),
                                                   failed_.end(), true));
-  target = std::clamp(target, min_feasible_, healthy);
+  target = std::clamp(target, min_feasible(), healthy);
   const storage::ActiveSet desired =
       cluster_.choose_active_set(target, &failed_);
 

@@ -47,7 +47,10 @@ class PowerManager {
   int active_count() const {
     return storage::Cluster::active_count(active_);
   }
-  int min_feasible() const { return min_feasible_; }
+  /// Coverage floor under the current failures: the greedy minimum of
+  /// active nodes that keeps every coverable group covered. Failures
+  /// only mark it stale; the first read after a change recomputes it.
+  int min_feasible() const;
   Joules drain_forced_energy_j();
 
   // --- failure injection --------------------------------------------
@@ -62,11 +65,10 @@ class PowerManager {
   const std::vector<bool>& failed() const { return failed_; }
 
  private:
-  void recompute_min_feasible();
-
   storage::Cluster& cluster_;
   int min_dwell_;
-  int min_feasible_;
+  mutable int min_feasible_;
+  mutable bool min_feasible_stale_ = false;
   storage::ActiveSet active_;
   std::vector<SlotIndex> last_change_;
   std::vector<bool> failed_;

@@ -1,8 +1,6 @@
 #include "storage/placement.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-
 #include <cmath>
 
 #include "util/assert.hpp"
@@ -23,12 +21,6 @@ PlacementMap::PlacementMap(const PlacementConfig& config,
     : config_(config), nodes_(std::move(nodes)) {
   config_.validate();
   GM_CHECK(!nodes_.empty(), "placement over an empty cluster");
-
-  // Count racks to decide whether rack-disjoint placement is possible.
-  std::unordered_map<RackId, int> rack_sizes;
-  for (const auto& n : nodes_) ++rack_sizes[n.rack];
-  const bool rack_disjoint =
-      rack_sizes.size() >= static_cast<std::size_t>(config_.replication);
 
   group_replicas_.resize(config_.group_count);
   node_groups_.resize(nodes_.size());
@@ -51,49 +43,57 @@ PlacementMap::PlacementMap(const PlacementConfig& config,
     id_to_index_[nodes_[i].id] = i;
   }
 
+  // A group's replicas are its `replication` best nodes under
+  // (score desc, node asc), at most one per rack when there are enough
+  // racks. Only a rack's best node can ever be chosen from it, so one
+  // pass keeps the best node per bucket (a rack, or a node when racks
+  // are too few to be disjoint) and a partial sort of the buckets
+  // yields the replicas in preference order.
+  std::vector<RackId> racks;
+  racks.reserve(nodes_.size());
+  for (const auto& n : nodes_) racks.push_back(n.rack);
+  std::sort(racks.begin(), racks.end());
+  racks.erase(std::unique(racks.begin(), racks.end()), racks.end());
+  const auto replication = static_cast<std::size_t>(config_.replication);
+  const bool rack_disjoint = racks.size() >= replication;
+  std::vector<std::uint32_t> bucket_of(nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i)
+    bucket_of[i] =
+        rack_disjoint
+            ? static_cast<std::uint32_t>(
+                  std::lower_bound(racks.begin(), racks.end(),
+                                   nodes_[i].rack) -
+                  racks.begin())
+            : static_cast<std::uint32_t>(i);
+
   struct Scored {
     std::uint64_t score;
     NodeId node;
-    RackId rack;
   };
-  std::vector<Scored> scored;
-  scored.reserve(nodes_.size());
+  const auto better = [](const Scored& a, const Scored& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.node < b.node;
+  };
+  std::vector<Scored> best(rack_disjoint ? racks.size() : nodes_.size());
+  const std::size_t take = std::min(replication, best.size());
 
   for (GroupId g = 0; g < config_.group_count; ++g) {
-    scored.clear();
-    for (const auto& n : nodes_) {
-      const std::uint64_t score =
-          mix_hash(mix_hash(config_.seed, g), n.id);
-      scored.push_back({score, n.id, n.rack});
+    const std::uint64_t group_key = mix_hash(config_.seed, g);
+    // kInvalidNode is never a real id, so every node beats the filler.
+    std::fill(best.begin(), best.end(), Scored{0, kInvalidNode});
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      const Scored s{mix_hash(group_key, nodes_[i].id), nodes_[i].id};
+      Scored& kept = best[bucket_of[i]];
+      if (better(s, kept)) kept = s;
     }
-    std::sort(scored.begin(), scored.end(),
-              [](const Scored& a, const Scored& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.node < b.node;
-              });
-
+    std::partial_sort(best.begin(),
+                      best.begin() + static_cast<std::ptrdiff_t>(take),
+                      best.end(), better);
     auto& replicas = group_replicas_[g];
-    std::vector<RackId> used_racks;
-    for (const auto& s : scored) {
-      if (replicas.size() == static_cast<std::size_t>(config_.replication))
-        break;
-      if (rack_disjoint &&
-          std::find(used_racks.begin(), used_racks.end(), s.rack) !=
-              used_racks.end())
-        continue;
-      replicas.push_back(s.node);
-      used_racks.push_back(s.rack);
+    for (std::size_t k = 0; k < take; ++k) {
+      replicas.push_back(best[k].node);
+      node_groups_[id_to_index_[best[k].node]].push_back(g);
     }
-    // If rack-disjoint filling fell short (tiny clusters), relax it.
-    for (const auto& s : scored) {
-      if (replicas.size() == static_cast<std::size_t>(config_.replication))
-        break;
-      if (std::find(replicas.begin(), replicas.end(), s.node) ==
-          replicas.end())
-        replicas.push_back(s.node);
-    }
-    GM_CHECK(!replicas.empty(), "group " << g << " has no replicas");
-    for (NodeId n : replicas) node_groups_[id_to_index_[n]].push_back(g);
   }
 }
 

@@ -328,6 +328,28 @@ TEST(ConfigIo, FailureEventsRejectMalformedEntries) {
       InvalidArgument);
 }
 
+// Regression: overlapping outages on one node were accepted, and the
+// run then counted and repaired the node twice.
+TEST(ConfigIo, FailureEventsRejectOverlapOnOneNode) {
+  auto config = core::ExperimentConfig::canonical();
+  EXPECT_THROW(core::apply_config(
+                   config, KeyValueConfig::parse(
+                               "failures.events = 3@3600@360000;"
+                               "3@7200@10800\n")),
+               InvalidArgument);
+  EXPECT_THROW(core::apply_config(
+                   config, KeyValueConfig::parse(
+                               "failures.events = 3@3600@0;"
+                               "3@720000@800000\n")),
+               InvalidArgument);
+  // Recovering at the instant of the next failure is not an overlap.
+  core::apply_config(config, KeyValueConfig::parse(
+                                 "failures.events = 3@3600@7200;"
+                                 "3@7200@10800;4@3600@0\n"));
+  EXPECT_EQ(echoed(config, "failures.events"),
+            "3@3600@7200;3@7200@10800;4@3600@0");
+}
+
 TEST(ConfigIo, ScenarioKeysApplyAndEcho) {
   auto config = core::ExperimentConfig::canonical();
   core::apply_config(config, KeyValueConfig::parse(

@@ -8,6 +8,7 @@
 #include "core/engine.hpp"
 #include "core/power_manager.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace gm::core {
@@ -96,6 +97,37 @@ TEST(Failures, MinFeasibleTracksFailures) {
   EXPECT_EQ(pm.min_feasible(), before);
 }
 
+// fail_node/recover_node only mark the coverage floor stale; the
+// first read after them recomputes it. After any batch of events the
+// floor must equal a from-scratch greedy recompute, and a zero target
+// with no dwell must land on exactly that many active nodes.
+TEST(Failures, CoverageFloorMatchesRecomputeAfterEventBatches) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    storage::Cluster cluster(tiny_cluster());
+    PowerManager pm(cluster, 0);
+    Rng rng(seed);
+    for (SlotIndex slot = 0; slot < 40; ++slot) {
+      const SimTime now = slot * 3600;
+      const auto events = 1 + rng.uniform_u64(6);
+      for (std::uint64_t e = 0; e < events; ++e) {
+        const auto node = static_cast<storage::NodeId>(
+            rng.uniform_u64(cluster.node_count()));
+        if (rng.bernoulli(0.5))
+          pm.fail_node(node, now);
+        else
+          pm.recover_node(node, now, slot);
+      }
+      const int floor = storage::Cluster::active_count(
+          cluster.choose_active_set(0, &pm.failed()));
+      ASSERT_EQ(pm.min_feasible(), floor)
+          << "seed " << seed << " slot " << slot;
+      pm.apply_target(slot, 0, now);
+      ASSERT_EQ(pm.active_count(), floor)
+          << "seed " << seed << " slot " << slot;
+    }
+  }
+}
+
 TEST(Cluster, ChooseActiveSetHonorsExclusions) {
   storage::Cluster cluster(tiny_cluster());
   std::vector<bool> excluded(cluster.node_count(), false);
@@ -168,6 +200,44 @@ TEST(Failures, ValidationRejectsBadEvents) {
   config.node_failures.push_back(
       NodeFailureEvent{.fail_at = 100, .recover_at = 50, .node = 0});
   EXPECT_THROW(config.validate(), InvalidArgument);
+
+  // Overlapping outages on one node (regression: the run counted the
+  // node failed twice, emitted a second round of repair tasks and let
+  // the first recovery end the second outage), listed in either order.
+  config.node_failures = {
+      NodeFailureEvent{.fail_at = 7200, .recover_at = 10800, .node = 3},
+      NodeFailureEvent{.fail_at = 3600, .recover_at = 360000, .node = 3}};
+  EXPECT_THROW(config.validate(), InvalidArgument);
+  // Two outages starting at the same instant.
+  config.node_failures = {
+      NodeFailureEvent{.fail_at = 3600, .recover_at = 7200, .node = 3},
+      NodeFailureEvent{.fail_at = 3600, .recover_at = 9000, .node = 3}};
+  EXPECT_THROW(config.validate(), InvalidArgument);
+  // A permanent failure overlaps every later event on its node.
+  config.node_failures = {
+      NodeFailureEvent{.fail_at = 3600, .recover_at = 0, .node = 3},
+      NodeFailureEvent{.fail_at = 720000, .recover_at = 800000, .node = 3}};
+  EXPECT_THROW(config.validate(), InvalidArgument);
+
+  // Back-to-back outages on one node, and overlapping outages on
+  // different nodes, stay legal.
+  config.node_failures = {
+      NodeFailureEvent{.fail_at = 7200, .recover_at = 0, .node = 3},
+      NodeFailureEvent{.fail_at = 3600, .recover_at = 7200, .node = 3},
+      NodeFailureEvent{.fail_at = 3600, .recover_at = 0, .node = 4}};
+  EXPECT_NO_THROW(config.validate());
+}
+
+TEST(Failures, BackToBackOutagesOnOneNodeRun) {
+  auto config = failure_config();
+  config.node_failures = {
+      NodeFailureEvent{.fail_at = 6 * 3600, .recover_at = 12 * 3600,
+                       .node = 5},
+      NodeFailureEvent{.fail_at = 12 * 3600, .recover_at = 20 * 3600,
+                       .node = 5}};
+  const auto r = run_experiment(config).result;
+  EXPECT_EQ(r.scheduler.nodes_failed, 2u);
+  EXPECT_EQ(r.qos.tasks_completed, r.qos.tasks_total);
 }
 
 TEST(Failures, UnknownNodeRejectedAtRuntime) {

@@ -1,5 +1,6 @@
 // Placement map tests: determinism, replication, rack-disjointness,
-// balance, stability under node-set changes.
+// balance, stability under node-set changes, and agreement with the
+// sort-and-scan reference selection.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 
 #include "storage/placement.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace gm::storage {
 namespace {
@@ -147,6 +149,100 @@ TEST(Placement, MinimalMovementOnNodeRemoval) {
                     after.end());
     }
   }
+}
+
+// Reference selection: score every node, sort by (score desc, node
+// asc), take nodes in that order skipping racks already used while
+// rack-disjoint placement is possible, then fill any shortfall in the
+// same order. PlacementMap must reproduce it element for element.
+std::vector<NodeId> reference_replicas(
+    const PlacementConfig& c, const std::vector<NodeDescriptor>& nodes,
+    GroupId g) {
+  std::set<RackId> racks;
+  for (const auto& n : nodes) racks.insert(n.rack);
+  const auto r = static_cast<std::size_t>(c.replication);
+  const bool rack_disjoint = racks.size() >= r;
+
+  struct Scored {
+    std::uint64_t score;
+    NodeId node;
+    RackId rack;
+  };
+  std::vector<Scored> scored;
+  for (const auto& n : nodes)
+    scored.push_back({mix_hash(mix_hash(c.seed, g), n.id), n.id, n.rack});
+  std::sort(scored.begin(), scored.end(),
+            [](const Scored& a, const Scored& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.node < b.node;
+            });
+
+  std::vector<NodeId> replicas;
+  std::vector<RackId> used_racks;
+  for (const auto& s : scored) {
+    if (replicas.size() == r) break;
+    if (rack_disjoint && std::find(used_racks.begin(), used_racks.end(),
+                                   s.rack) != used_racks.end())
+      continue;
+    replicas.push_back(s.node);
+    used_racks.push_back(s.rack);
+  }
+  for (const auto& s : scored) {
+    if (replicas.size() == r) break;
+    if (std::find(replicas.begin(), replicas.end(), s.node) ==
+        replicas.end())
+      replicas.push_back(s.node);
+  }
+  return replicas;
+}
+
+void expect_matches_reference(const PlacementConfig& c,
+                              const std::vector<NodeDescriptor>& nodes) {
+  PlacementMap map(c, nodes);
+  for (GroupId g = 0; g < c.group_count; ++g)
+    ASSERT_EQ(map.replicas(g), reference_replicas(c, nodes, g))
+        << "group " << g;
+}
+
+TEST(Placement, MatchesReferenceOnRackDisjointGrids) {
+  expect_matches_reference(config_with(3, 256), grid_nodes(4, 8));
+  // The 1,280-node fleet tier (BM_PlacementBuild/1).
+  expect_matches_reference(config_with(3, 1024), grid_nodes(16, 80));
+  PlacementConfig reseeded = config_with(2, 256);
+  reseeded.seed = 99;
+  expect_matches_reference(reseeded, grid_nodes(3, 5));
+}
+
+TEST(Placement, MatchesReferenceWithFewerRacksThanReplicas) {
+  expect_matches_reference(config_with(3, 256), grid_nodes(2, 4));
+  expect_matches_reference(config_with(2, 256), grid_nodes(1, 5));
+}
+
+TEST(Placement, MatchesReferenceWithMoreReplicasThanNodes) {
+  // Every group holds every node, in preference order.
+  expect_matches_reference(config_with(5, 64), grid_nodes(1, 3));
+  expect_matches_reference(config_with(4, 64), grid_nodes(3, 1));
+  PlacementMap map(config_with(5, 8), grid_nodes(1, 3));
+  EXPECT_EQ(map.replicas(0).size(), 3u);
+}
+
+TEST(Placement, MatchesReferenceOnShuffledSparseDescriptors) {
+  // Sparse node ids, non-contiguous rack ids of uneven size, and the
+  // descriptors in shuffled order.
+  const std::vector<RackId> rack_ids = {17, 3, 1000, 42, 5, 99};
+  std::vector<NodeDescriptor> nodes;
+  NodeId id = 11;
+  for (std::size_t r = 0; r < rack_ids.size(); ++r)
+    for (std::size_t n = 0; n <= r + 1; ++n, id += 7)
+      nodes.push_back({id, rack_ids[r]});
+  Rng rng(2024);
+  for (std::size_t i = nodes.size(); i > 1; --i)
+    std::swap(nodes[i - 1], nodes[rng.uniform_u64(i)]);
+
+  expect_matches_reference(config_with(3, 512), nodes);
+  expect_matches_reference(config_with(6, 128), nodes);
+  expect_matches_reference(config_with(7, 128), nodes);  // > racks
+  expect_matches_reference(config_with(40, 16), nodes);  // > nodes
 }
 
 TEST(Placement, ValidationErrors) {
