@@ -14,6 +14,7 @@
 #include "bench_support.hpp"
 #include "core/engine.hpp"
 #include "workload/arrival_stream.hpp"
+#include "workload/generator.hpp"
 #include "json_report.hpp"
 #include "core/mincost_flow.hpp"
 #include "energy/battery.hpp"
@@ -152,6 +153,19 @@ BENCHMARK(BM_PlacementBuild)
     ->Arg(80)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
+
+// Workload generation for the canonical week (≈1.93 M foreground
+// requests, seed 1234 as in perfbench) over the 8,192 groups of the
+// Arg(8) tier. One generation per iteration; the Zipf table is built
+// once per process and shared after the first.
+void BM_GenerateWorkload(benchmark::State& state) {
+  const auto spec = workload::WorkloadSpec::canonical(7, 1234);
+  for (auto _ : state) {
+    const auto w = workload::generate_workload(spec, 8192);
+    benchmark::DoNotOptimize(w.requests.data());
+  }
+}
+BENCHMARK(BM_GenerateWorkload)->Unit(benchmark::kMillisecond);
 
 // One full week per iteration against a trace generated once outside
 // the timing loop; plan_ms_per_run isolates the planner from the rest

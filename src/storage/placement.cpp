@@ -6,6 +6,7 @@
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gm::storage {
 
@@ -74,27 +75,43 @@ PlacementMap::PlacementMap(const PlacementConfig& config,
     if (a.score != b.score) return a.score > b.score;
     return a.node < b.node;
   };
-  std::vector<Scored> best(rack_disjoint ? racks.size() : nodes_.size());
-  const std::size_t take = std::min(replication, best.size());
+  const std::size_t buckets = rack_disjoint ? racks.size() : nodes_.size();
+  const std::size_t take = std::min(replication, buckets);
 
-  for (GroupId g = 0; g < config_.group_count; ++g) {
-    const std::uint64_t group_key = mix_hash(config_.seed, g);
-    // kInvalidNode is never a real id, so every node beats the filler.
-    std::fill(best.begin(), best.end(), Scored{0, kInvalidNode});
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const Scored s{mix_hash(group_key, nodes_[i].id), nodes_[i].id};
-      Scored& kept = best[bucket_of[i]];
-      if (better(s, kept)) kept = s;
+  // Groups are independent, so contiguous blocks of them run on the
+  // pool, each with its own `best` buffer and writing only its own
+  // groups' replica lists. A block hashes ≈2²¹ nodes (≈7 ms), so a
+  // build smaller than that stays on the calling thread, where
+  // starting the pool would cost about what it saves.
+  constexpr std::size_t kHashesPerBlock = std::size_t{1} << 21;
+  const std::size_t group_count = config_.group_count;
+  const std::size_t block =
+      std::max<std::size_t>(1, kHashesPerBlock / nodes_.size());
+  parallel_for((group_count + block - 1) / block, [&](std::size_t b) {
+    std::vector<Scored> best(buckets);
+    const std::size_t end = std::min(group_count, (b + 1) * block);
+    for (std::size_t g = b * block; g < end; ++g) {
+      const std::uint64_t group_key = mix_hash(config_.seed, g);
+      // kInvalidNode is never a real id, so every node beats the filler.
+      std::fill(best.begin(), best.end(), Scored{0, kInvalidNode});
+      for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        const Scored s{mix_hash(group_key, nodes_[i].id), nodes_[i].id};
+        Scored& kept = best[bucket_of[i]];
+        if (better(s, kept)) kept = s;
+      }
+      std::partial_sort(best.begin(),
+                        best.begin() + static_cast<std::ptrdiff_t>(take),
+                        best.end(), better);
+      auto& replicas = group_replicas_[g];
+      for (std::size_t k = 0; k < take; ++k)
+        replicas.push_back(best[k].node);
     }
-    std::partial_sort(best.begin(),
-                      best.begin() + static_cast<std::ptrdiff_t>(take),
-                      best.end(), better);
-    auto& replicas = group_replicas_[g];
-    for (std::size_t k = 0; k < take; ++k) {
-      replicas.push_back(best[k].node);
-      node_groups_[id_to_index_[best[k].node]].push_back(g);
-    }
-  }
+  });
+
+  // Inverted in group order, so every node's list is ascending.
+  for (GroupId g = 0; g < config_.group_count; ++g)
+    for (NodeId node : group_replicas_[g])
+      node_groups_[id_to_index_[node]].push_back(g);
 }
 
 std::uint32_t shard_of_group(GroupId group, std::uint32_t shard_count) {

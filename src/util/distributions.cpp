@@ -15,16 +15,24 @@ double sample_exponential(Rng& rng, double lambda) {
   return -std::log(1.0 - rng.uniform()) / lambda;
 }
 
-double sample_normal(Rng& rng, double mean, double stddev) {
-  GM_CHECK(stddev >= 0.0, "stddev must be non-negative: " << stddev);
+PolarDraw polar_draw(Rng& rng) {
   double u, v, s;
   do {
     u = rng.uniform(-1.0, 1.0);
     v = rng.uniform(-1.0, 1.0);
     s = u * u + v * v;
   } while (s >= 1.0 || s == 0.0);
-  const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  return mean + stddev * u * factor;
+  return {u, s};
+}
+
+double polar_normal(double mean, double stddev, PolarDraw draw) {
+  GM_CHECK(stddev >= 0.0, "stddev must be non-negative: " << stddev);
+  const double factor = std::sqrt(-2.0 * std::log(draw.s) / draw.s);
+  return mean + stddev * draw.u * factor;
+}
+
+double sample_normal(Rng& rng, double mean, double stddev) {
+  return polar_normal(mean, stddev, polar_draw(rng));
 }
 
 double sample_lognormal(Rng& rng, double mu, double sigma) {
@@ -114,8 +122,7 @@ ZipfSampler::ZipfSampler(std::size_t n, double exponent_s) : s_(exponent_s) {
   table_ = shared_zipf_table(n, exponent_s);
 }
 
-std::size_t ZipfSampler::operator()(Rng& rng) const {
-  const double u = rng.uniform();
+std::size_t ZipfSampler::rank_of(double u) const {
   const std::vector<double>& cdf = table_->cdf;
   // Narrow the window with the bucket index, then find the first
   // index whose CDF value exceeds u — identical to a full-range

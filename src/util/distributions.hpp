@@ -15,8 +15,24 @@ namespace gm {
 /// Exponential with rate `lambda` (mean 1/lambda).
 double sample_exponential(Rng& rng, double lambda);
 
+/// The random half of one polar Box–Muller draw: the accepted point
+/// (u, v) of the unit disc, kept as u and s = u² + v² ∈ (0, 1).
+struct PolarDraw {
+  double u;
+  double s;
+};
+
+/// Draws uniforms in pairs until one lands strictly inside the unit
+/// disc (and off its centre). No transcendental math.
+PolarDraw polar_draw(Rng& rng);
+
+/// The pure half: maps an accepted draw to a normal variate. Checks
+/// that `stddev` is non-negative.
+double polar_normal(double mean, double stddev, PolarDraw draw);
+
 /// Standard normal via polar Box–Muller (no cached second value, so
-/// sampling stays stateless with respect to the caller).
+/// sampling stays stateless with respect to the caller). Equal to
+/// polar_normal(mean, stddev, polar_draw(rng)).
 double sample_normal(Rng& rng, double mean = 0.0, double stddev = 1.0);
 
 /// Lognormal parameterized by the *underlying* normal's mu/sigma.
@@ -57,7 +73,11 @@ class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double exponent_s);
 
-  std::size_t operator()(Rng& rng) const;
+  /// Draws one uniform and returns rank_of it.
+  std::size_t operator()(Rng& rng) const { return rank_of(rng.uniform()); }
+  /// The rank a uniform u ∈ [0, 1) maps to: the first rank whose CDF
+  /// value exceeds u.
+  std::size_t rank_of(double u) const;
   std::size_t size() const { return table_->cdf.size(); }
   double exponent() const { return s_; }
   /// Probability mass of rank k.

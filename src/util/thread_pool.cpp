@@ -10,7 +10,8 @@ namespace gm {
 namespace {
 // Set for the lifetime of each worker thread so on_worker_thread()
 // (and through it parallel_for's nested-call fallback and the Batch
-// construction check) can identify calls made from inside the pool.
+// construction check) can identify calls made from inside the pool,
+// and the transient parallel_for calls made from inside any pool.
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 }  // namespace
 
@@ -133,6 +134,13 @@ void parallel_for(ThreadPool& pool, std::size_t n,
 
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t)>& body) {
+  // On a worker of any pool (a sweep point, a bench fan-out) every
+  // core already has work, so a transient pool would only
+  // oversubscribe the machine; a single index needs no pool either.
+  if (tl_worker_pool != nullptr || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
   ThreadPool pool;
   parallel_for(pool, n, body);
 }

@@ -90,7 +90,9 @@ void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
 /// Single-shot convenience: creates a transient pool sized to the
-/// machine and runs the loop.
+/// machine and runs the loop. Runs inline on the calling thread
+/// instead when that thread is a worker of any ThreadPool (its caller
+/// already parallelises at a coarser grain) or when n <= 1.
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t)>& body);
 

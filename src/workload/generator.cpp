@@ -6,6 +6,7 @@
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/time_types.hpp"
 
 namespace gm::workload {
@@ -24,17 +25,43 @@ Seconds Workload::total_task_work_s() const {
 
 namespace {
 
+/// The random half of one request: every uniform it takes from the
+/// detail stream, in draw order.
+struct RequestDraws {
+  double rank_u;   ///< Zipf popularity rank
+  PolarDraw size;  ///< lognormal size
+  double read_u;   ///< read or write
+};
+
+RequestDraws draw_request(Rng& rng) {
+  RequestDraws d;
+  d.rank_u = rng.uniform();
+  d.size = polar_draw(rng);
+  d.read_u = rng.uniform();
+  return d;
+}
+
 void generate_foreground(const WorkloadSpec& spec, Rng& rng,
                          Workload& out) {
   const auto& fg = spec.foreground;
   if (fg.base_rate_per_s <= 0.0) return;
 
   const double horizon_s = days_to_s(spec.duration_days);
+  // rate(t) reads t only through its whole second, and thinning
+  // candidates come in increasing t, several a second, so a one-entry
+  // cache keyed on that second is exact.
+  SimTime cached_second = -1;
+  double cached_rate = 0.0;
   const auto rate = [&](double t) {
-    const auto cal = calendar_of(static_cast<SimTime>(t));
-    const bool weekend = cal.day_of_week >= 5;
-    return fg.base_rate_per_s * fg.diurnal(cal.hour) *
-           (weekend ? fg.weekend_factor : 1.0);
+    const auto second = static_cast<SimTime>(t);
+    if (second != cached_second) {
+      const auto cal = calendar_of(second);
+      const bool weekend = cal.day_of_week >= 5;
+      cached_rate = fg.base_rate_per_s * fg.diurnal(cal.hour) *
+                    (weekend ? fg.weekend_factor : 1.0);
+      cached_second = second;
+    }
+    return cached_rate;
   };
   const double rate_max =
       fg.base_rate_per_s * fg.diurnal.max_value() *
@@ -50,23 +77,39 @@ void generate_foreground(const WorkloadSpec& spec, Rng& rng,
       fg.zipf_exponent);
   Rng detail_rng = rng.fork(0x42);
 
-  out.requests.reserve(arrivals.size());
-  storage::RequestId id = 1;
-  for (double t : arrivals) {
-    storage::IoRequest req;
-    req.id = id++;
-    req.arrival = static_cast<SimTime>(t);
-    // Popularity rank → object id through a stable permutation hash so
-    // hot objects are spread over the id space.
-    const std::size_t rank = zipf(detail_rng);
-    req.object = mix_hash(spec.seed, rank) % fg.object_count;
-    const double bytes =
-        sample_lognormal(detail_rng, fg.size_log_mu, fg.size_log_sigma);
-    req.size_bytes =
-        static_cast<std::uint64_t>(std::max(512.0, std::min(bytes, 1e10)));
-    req.is_write = !detail_rng.bernoulli(fg.read_fraction);
-    out.requests.push_back(req);
+  // One cheap serial walk of the detail stream copies the Rng at the
+  // start of every block. Each block then replays its draws from that
+  // copy and does the costly pure half (Zipf search, object hash,
+  // lognormal transform) into its own slice of the vector, so every
+  // request gets exactly the uniforms a sequential loop gives it.
+  const std::size_t n = arrivals.size();
+  std::vector<Rng> block_start;
+  block_start.reserve((n + kRequestBlock - 1) / kRequestBlock);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % kRequestBlock == 0) block_start.push_back(detail_rng);
+    draw_request(detail_rng);
   }
+
+  out.requests.resize(n);
+  parallel_for(block_start.size(), [&](std::size_t b) {
+    Rng block_rng = block_start[b];
+    const std::size_t end = std::min(n, (b + 1) * kRequestBlock);
+    for (std::size_t i = b * kRequestBlock; i < end; ++i) {
+      const RequestDraws d = draw_request(block_rng);
+      storage::IoRequest& req = out.requests[i];
+      req.id = static_cast<storage::RequestId>(i + 1);
+      req.arrival = static_cast<SimTime>(arrivals[i]);
+      // Popularity rank → object id through a stable permutation hash
+      // so hot objects are spread over the id space.
+      req.object =
+          mix_hash(spec.seed, zipf.rank_of(d.rank_u)) % fg.object_count;
+      const double bytes = std::exp(
+          polar_normal(fg.size_log_mu, fg.size_log_sigma, d.size));
+      req.size_bytes =
+          static_cast<std::uint64_t>(std::max(512.0, std::min(bytes, 1e10)));
+      req.is_write = d.read_u >= fg.read_fraction;
+    }
+  });
 }
 
 void generate_tasks(const WorkloadSpec& spec, std::uint32_t group_count,
@@ -117,11 +160,7 @@ Workload generate_workload(const WorkloadSpec& spec,
   generate_foreground(spec, rng, out);
   generate_tasks(spec, group_count, rng, out);
 
-  std::sort(out.requests.begin(), out.requests.end(),
-            [](const auto& a, const auto& b) {
-              if (a.arrival != b.arrival) return a.arrival < b.arrival;
-              return a.id < b.id;
-            });
+  // Requests need no sort: NHPP arrivals increase and ids follow them.
   std::sort(out.tasks.begin(), out.tasks.end(),
             [](const auto& a, const auto& b) {
               if (a.release != b.release) return a.release < b.release;

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <unordered_set>
 
 #include "storage/placement.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gm::storage {
 namespace {
@@ -206,8 +208,10 @@ void expect_matches_reference(const PlacementConfig& c,
 
 TEST(Placement, MatchesReferenceOnRackDisjointGrids) {
   expect_matches_reference(config_with(3, 256), grid_nodes(4, 8));
-  // The 1,280-node fleet tier (BM_PlacementBuild/1).
+  // The 1,280-node fleet tier (BM_PlacementBuild/1), then twice its
+  // groups, which the build splits into two blocks for the pool.
   expect_matches_reference(config_with(3, 1024), grid_nodes(16, 80));
+  expect_matches_reference(config_with(3, 2048), grid_nodes(16, 80));
   PlacementConfig reseeded = config_with(2, 256);
   reseeded.seed = 99;
   expect_matches_reference(reseeded, grid_nodes(3, 5));
@@ -243,6 +247,23 @@ TEST(Placement, MatchesReferenceOnShuffledSparseDescriptors) {
   expect_matches_reference(config_with(6, 128), nodes);
   expect_matches_reference(config_with(7, 128), nodes);  // > racks
   expect_matches_reference(config_with(40, 16), nodes);  // > nodes
+}
+
+// The group loop runs in blocks on a transient pool, or inline when
+// the caller is a pool worker. Both builds must be the same map; 4,096
+// groups over 1,280 nodes make three blocks.
+TEST(Placement, PoolWorkerBuildMatchesTestThreadBuild) {
+  const auto nodes = grid_nodes(16, 80);
+  const PlacementConfig c = config_with(3, 4096);
+  const PlacementMap here(c, nodes);
+  std::optional<PlacementMap> on_worker;
+  ThreadPool pool(1);
+  parallel_for(pool, 1, [&](std::size_t) { on_worker.emplace(c, nodes); });
+  for (GroupId g = 0; g < c.group_count; ++g)
+    ASSERT_EQ(on_worker->replicas(g), here.replicas(g)) << "group " << g;
+  for (const auto& n : nodes)
+    ASSERT_EQ(on_worker->groups_on(n.id), here.groups_on(n.id))
+        << "node " << n.id;
 }
 
 TEST(Placement, ValidationErrors) {

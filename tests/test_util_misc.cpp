@@ -379,6 +379,28 @@ TEST(ThreadPool, BatchOnOwnWorkerAsserts) {
   EXPECT_TRUE(threw.load());
 }
 
+// On a worker of any pool, not only its own, the transient helper
+// runs the whole range on the calling thread instead of starting a
+// pool; off a worker it hands the range to a pool it starts.
+TEST(ThreadPool, TransientHelperRunsInlineOnAnyPoolWorker) {
+  std::vector<std::thread::id> ran_on(64);
+  const auto run = [&] {
+    parallel_for(ran_on.size(), [&](std::size_t i) {
+      ran_on[i] = std::this_thread::get_id();
+    });
+  };
+  ThreadPool outer(1);
+  std::thread::id worker;
+  parallel_for(outer, 1, [&](std::size_t) {
+    worker = std::this_thread::get_id();
+    run();
+  });
+  for (const auto& id : ran_on) EXPECT_EQ(id, worker);
+
+  run();
+  for (const auto& id : ran_on) EXPECT_NE(id, std::this_thread::get_id());
+}
+
 TEST(ThreadPool, TransientHelper) {
   std::atomic<long> sum{0};
   parallel_for(500, [&](std::size_t i) {

@@ -147,6 +147,21 @@ TEST(Distributions, NormalMoments) {
   EXPECT_NEAR(var, 4.0, 0.15);
 }
 
+// The generator replays split draws; each split must reproduce the
+// one-call sampler on a twin stream, bit for bit and draw for draw.
+TEST(Distributions, PolarSplitMatchesSampleNormal) {
+  Rng a(41), b(41);
+  for (int i = 0; i < 10000; ++i) {
+    const double mean = 0.25 * (i % 7);
+    const double sd = 0.5 * (i % 5);
+    ASSERT_EQ(sample_normal(a, mean, sd),
+              polar_normal(mean, sd, polar_draw(b)))
+        << "draw " << i;
+  }
+  EXPECT_EQ(a.next(), b.next());
+  EXPECT_THROW(polar_normal(0.0, -1.0, polar_draw(b)), InvalidArgument);
+}
+
 TEST(Distributions, LognormalMedian) {
   Rng rng(41);
   std::vector<double> xs(20001);
@@ -212,6 +227,14 @@ TEST(Zipf, EmpiricalMatchesPmf) {
                 0.01)
         << "rank " << k;
   }
+}
+
+TEST(Zipf, RankOfMatchesSampler) {
+  ZipfSampler zipf(100000, 1.1);
+  Rng a(63), b(63);
+  for (int i = 0; i < 10000; ++i)
+    ASSERT_EQ(zipf(a), zipf.rank_of(b.uniform())) << "draw " << i;
+  EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(Zipf, UniformWhenExponentZero) {

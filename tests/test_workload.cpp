@@ -7,6 +7,10 @@
 #include <sstream>
 
 #include "util/assert.hpp"
+#include "util/distributions.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
+#include "util/time_types.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
 
@@ -172,6 +176,149 @@ TEST(Generator, ValidatesInput) {
   bad = tiny_spec();
   bad.foreground.read_fraction = 2.0;
   EXPECT_THROW(generate_workload(bad, 64), InvalidArgument);
+}
+
+// ----------------------------------------------- Request draw oracle
+
+// The sequential request loop: one pass over the arrivals that draws
+// each request's rank, size and direction from the detail stream in
+// turn, with the rate evaluated afresh at every thinning candidate.
+// generate_workload splits these draws into a serial walk and a
+// parallel replay, and caches the rate; its requests must equal these
+// field for field.
+std::vector<storage::IoRequest> reference_requests(const WorkloadSpec& spec) {
+  const auto& fg = spec.foreground;
+  std::vector<storage::IoRequest> out;
+  if (fg.base_rate_per_s <= 0.0) return out;
+  const auto rate = [&](double t) {
+    const auto cal = calendar_of(static_cast<SimTime>(t));
+    const bool weekend = cal.day_of_week >= 5;
+    return fg.base_rate_per_s * fg.diurnal(cal.hour) *
+           (weekend ? fg.weekend_factor : 1.0);
+  };
+  const double rate_max = fg.base_rate_per_s * fg.diurnal.max_value() *
+                          std::max(1.0, fg.weekend_factor);
+  const Rng rng(spec.seed);
+  Rng arrivals_rng = rng.fork(0x41);
+  const auto arrivals = sample_nhpp(
+      arrivals_rng, 0.0, days_to_s(spec.duration_days), rate_max, rate);
+  const ZipfSampler zipf(
+      static_cast<std::size_t>(
+          std::min<std::uint64_t>(fg.object_count, 4'000'000ULL)),
+      fg.zipf_exponent);
+  Rng detail_rng = rng.fork(0x42);
+  storage::RequestId id = 1;
+  for (double t : arrivals) {
+    storage::IoRequest req;
+    req.id = id++;
+    req.arrival = static_cast<SimTime>(t);
+    req.object = mix_hash(spec.seed, zipf(detail_rng)) % fg.object_count;
+    const double bytes =
+        sample_lognormal(detail_rng, fg.size_log_mu, fg.size_log_sigma);
+    req.size_bytes =
+        static_cast<std::uint64_t>(std::max(512.0, std::min(bytes, 1e10)));
+    req.is_write = !detail_rng.bernoulli(fg.read_fraction);
+    out.push_back(req);
+  }
+  return out;
+}
+
+// Stops at the first differing request, so a mismatch reports one
+// index rather than a flood.
+void expect_same_requests(const std::vector<storage::IoRequest>& got,
+                          const std::vector<storage::IoRequest>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto& a = got[i];
+    const auto& b = want[i];
+    ASSERT_TRUE(a.id == b.id && a.arrival == b.arrival &&
+                a.object == b.object && a.size_bytes == b.size_bytes &&
+                a.is_write == b.is_write)
+        << "request " << i << ": id " << a.id << "/" << b.id
+        << " arrival " << a.arrival << "/" << b.arrival << " object "
+        << a.object << "/" << b.object << " bytes " << a.size_bytes
+        << "/" << b.size_bytes << " write " << a.is_write << "/"
+        << b.is_write;
+  }
+}
+
+// A spec whose request count spans several draw blocks with a partial
+// last one (≈165 k requests, ≈10 blocks).
+WorkloadSpec multi_block_spec() {
+  WorkloadSpec spec = tiny_spec(2, 11);
+  spec.foreground.base_rate_per_s = 1.0;
+  return spec;
+}
+
+TEST(GeneratorOracle, NoForeground) {
+  WorkloadSpec spec = tiny_spec();
+  spec.foreground.base_rate_per_s = 0.0;
+  const Workload w = generate_workload(spec, 64);
+  EXPECT_TRUE(w.requests.empty());
+  EXPECT_FALSE(w.tasks.empty());
+}
+
+TEST(GeneratorOracle, FewerRequestsThanOneBlock) {
+  WorkloadSpec spec = tiny_spec(1, 5);
+  spec.foreground.base_rate_per_s = 0.05;
+  const Workload w = generate_workload(spec, 64);
+  ASSERT_GT(w.requests.size(), 0u);
+  ASSERT_LT(w.requests.size(), kRequestBlock);
+  expect_same_requests(w.requests, reference_requests(spec));
+}
+
+TEST(GeneratorOracle, SeveralBlocksWithPartialLast) {
+  const WorkloadSpec spec = multi_block_spec();
+  const Workload w = generate_workload(spec, 64);
+  ASSERT_GT(w.requests.size(), 3 * kRequestBlock);
+  ASSERT_NE(w.requests.size() % kRequestBlock, 0u);
+  expect_same_requests(w.requests, reference_requests(spec));
+  // Ids run 1..n in arrival order.
+  for (std::size_t i = 0; i < w.requests.size(); ++i) {
+    ASSERT_EQ(w.requests[i].id, i + 1);
+    if (i > 0) {
+      ASSERT_GE(w.requests[i].arrival, w.requests[i - 1].arrival);
+    }
+  }
+}
+
+TEST(GeneratorOracle, ReadFractionAtBothEnds) {
+  for (const double fraction : {0.0, 1.0}) {
+    WorkloadSpec spec = multi_block_spec();
+    spec.foreground.read_fraction = fraction;
+    const Workload w = generate_workload(spec, 64);
+    expect_same_requests(w.requests, reference_requests(spec));
+    for (const auto& r : w.requests) ASSERT_EQ(r.is_write, fraction == 0.0);
+  }
+}
+
+TEST(GeneratorOracle, ZeroSizeSigma) {
+  WorkloadSpec spec = multi_block_spec();
+  spec.foreground.size_log_sigma = 0.0;
+  const Workload w = generate_workload(spec, 64);
+  expect_same_requests(w.requests, reference_requests(spec));
+  for (const auto& r : w.requests)
+    ASSERT_EQ(r.size_bytes, w.requests.front().size_bytes);
+}
+
+TEST(GeneratorOracle, NegativeSizeSigmaThrows) {
+  WorkloadSpec spec = multi_block_spec();
+  spec.foreground.size_log_sigma = -0.5;
+  EXPECT_THROW(generate_workload(spec, 64), InvalidArgument);
+}
+
+// On a pool worker the draw runs inline on that worker; the workload
+// must be the one the test thread's parallel draw makes.
+TEST(GeneratorOracle, PoolWorkerMatchesTestThread) {
+  const WorkloadSpec spec = multi_block_spec();
+  const Workload here = generate_workload(spec, 128);
+  Workload on_worker;
+  ThreadPool pool(1);
+  parallel_for(pool, 1, [&](std::size_t) {
+    on_worker = generate_workload(spec, 128);
+  });
+  expect_same_requests(on_worker.requests, here.requests);
+  ASSERT_EQ(on_worker.tasks.size(), here.tasks.size());
 }
 
 // --------------------------------------------------------------- Trace
