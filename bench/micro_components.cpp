@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot components:
 // min-cost-flow planner, placement construction, coverage queries,
-// battery stepping and the solar model.
+// power management under churn, battery stepping and the solar model.
 //
 // `--json=<path>` (stripped before benchmark::Initialize sees argv)
 // appends one BenchRecord per benchmark — real time plus every user
@@ -13,6 +13,7 @@
 
 #include "bench_support.hpp"
 #include "core/engine.hpp"
+#include "core/power_manager.hpp"
 #include "workload/arrival_stream.hpp"
 #include "workload/generator.hpp"
 #include "json_report.hpp"
@@ -153,6 +154,51 @@ BENCHMARK(BM_PlacementBuild)
     ->Arg(80)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
+
+// One churn_week slot of power management at the fleet tiers: 34
+// fail/recover events (churn_week has ≈7,000 over 204 slots), a read
+// of the coverage floor, and apply_target to a seeded target between
+// the floor and a quarter of the fleet above it. Recoveries pick a
+// random failed node and take over once 1/64 of the fleet is down
+// (160 nodes at Arg(8); churn_week averages ≈170 down at once). 204
+// iterations replay one week; the cluster is built outside the timed
+// loop.
+void BM_PowerChurnSlot(benchmark::State& state) {
+  const auto config =
+      massive_fleet_config(static_cast<int>(state.range(0))).cluster;
+  storage::Cluster cluster(config);
+  core::PowerManager power(cluster, 1);
+  const auto nodes = cluster.node_count();
+  Rng rng(42);
+  std::vector<storage::NodeId> down;
+  SlotIndex slot = 0;
+  for (auto _ : state) {
+    const SimTime now = slot * 3600;
+    for (int e = 0; e < 34; ++e) {
+      if (!down.empty() &&
+          (down.size() >= nodes / 64 || rng.bernoulli(0.5))) {
+        const auto i = rng.uniform_u64(down.size());
+        power.recover_node(down[i], now, slot);
+        down[i] = down.back();
+        down.pop_back();
+      } else {
+        const auto n = static_cast<storage::NodeId>(rng.uniform_u64(nodes));
+        if (power.is_failed(n)) continue;
+        power.fail_node(n, now);
+        down.push_back(n);
+      }
+    }
+    const int target = power.min_feasible() +
+                       static_cast<int>(rng.uniform_u64(nodes / 4));
+    benchmark::DoNotOptimize(power.apply_target(slot, target, now));
+    ++slot;
+  }
+}
+BENCHMARK(BM_PowerChurnSlot)
+    ->Arg(1)
+    ->Arg(8)
+    ->Iterations(204)
+    ->Unit(benchmark::kMicrosecond);
 
 // Workload generation for the canonical week (≈1.93 M foreground
 // requests, seed 1234 as in perfbench) over the 8,192 groups of the

@@ -441,6 +441,26 @@ AuditReport audit_run(const core::SimulationEngine& engine,
     report.checks.push_back(std::move(check));
   }
 
+  // --- coverage --------------------------------------------------------
+  // The power manager keeps coverage and the coverage floor
+  // incrementally; the full scans and a fresh greedy are the reference.
+  {
+    const core::PowerManager& power = engine.power();
+    const storage::Cluster& cluster = engine.cluster();
+    const int floor = storage::Cluster::active_count(
+        cluster.choose_active_set(0, &power.failed()));
+    AuditCheck check;
+    check.name = "power.coverage";
+    check.lhs = cluster.covered_groups(power.active());
+    check.rhs = cluster.coverable_groups(power.failed());
+    check.tolerance = 0.0;
+    check.passed = check.lhs == check.rhs && power.min_feasible() == floor;
+    check.detail = "covered = coverable groups; floor " +
+                   std::to_string(power.min_feasible()) +
+                   " vs greedy " + std::to_string(floor);
+    report.checks.push_back(std::move(check));
+  }
+
   return report;
 }
 

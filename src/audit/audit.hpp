@@ -17,7 +17,8 @@
 //   4. engine fleet-state invariants: active-node bounds, per-slot
 //      task-slot/utilization conservation, battery SoC bounds, task
 //      accounting (admitted = completed + unfinished, misses
-//      consistent with unfinished), and grid-meter agreement.
+//      consistent with unfinished), grid-meter agreement, and the
+//      power manager's incremental coverage state against full scans.
 //
 // `audit_run` needs the engine (battery/grid/supply internals stay
 // valid after finalize()) plus the artifacts finalize() returned.

@@ -138,6 +138,8 @@ class SimulationEngine {
   const energy::Battery& battery() const { return battery_; }
   /// Grid meter: total import, carbon, cost.
   const energy::GridMeter& grid_meter() const { return grid_; }
+  /// Power manager: active set, failures and the coverage floor.
+  const PowerManager& power() const { return power_; }
 
  private:
   struct TaskState {

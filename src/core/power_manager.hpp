@@ -4,7 +4,19 @@
 // (never below the feasible minimum), hysteresis (a node keeps its
 // power state for `min_dwell_slots` before it may switch off again),
 // and transition-energy accounting.
+//
+// Coverage is kept incrementally. The coverage floor is the answer of
+// Cluster::choose_active_set(0, &failed): a greedy that walks node ids
+// from highest to lowest and removes a node when every group on it
+// keeps another live replica. Its decision for node j depends only on
+// j's failure, on the live-replica counts of j's groups and on the
+// decisions for higher-id replicas in those groups, so a failure or a
+// recovery re-decides only the nodes it reaches. A target t is that
+// run's prefix: the greedy stops after the first healthy - t removals.
+// Per-group active-replica counts make the coverage check O(1).
 
+#include <cstdint>
+#include <queue>
 #include <vector>
 
 #include "storage/cluster.hpp"
@@ -15,6 +27,7 @@ namespace gm::core {
 
 class PowerManager {
  public:
+  /// Runs the coverage greedy once, for the failure-free floor.
   PowerManager(storage::Cluster& cluster, int min_dwell_slots);
 
   struct Transition {
@@ -44,12 +57,14 @@ class PowerManager {
                                         SimTime now, SlotIndex slot);
 
   const storage::ActiveSet& active() const { return active_; }
-  int active_count() const {
-    return storage::Cluster::active_count(active_);
-  }
+  int active_count() const { return active_count_; }
+  /// Groups with a live (non-failed) replica but no active one.
+  /// apply_target always leaves this at 0.
+  std::uint32_t dark_coverable_groups() const { return dark_coverable_; }
   /// Coverage floor under the current failures: the greedy minimum of
   /// active nodes that keeps every coverable group covered. Failures
-  /// only mark it stale; the first read after a change recomputes it.
+  /// only queue the nodes they reach; the first read after a change
+  /// re-decides those.
   int min_feasible() const;
   Joules drain_forced_energy_j();
 
@@ -65,13 +80,34 @@ class PowerManager {
   const std::vector<bool>& failed() const { return failed_; }
 
  private:
+  /// The only writer of active_: keeps the count and the per-group
+  /// active-replica counts in step.
+  void set_active(storage::NodeId node, bool on);
+  /// Queues `node` and every replica of its groups for re-decision
+  /// after its failure state changed.
+  void queue_failure_change(storage::NodeId node);
+  void queue(storage::NodeId node) const;
+  /// The greedy's decision for `node`, given the settled decisions for
+  /// every higher id.
+  bool greedy_removes(storage::NodeId node) const;
+
   storage::Cluster& cluster_;
   int min_dwell_;
-  mutable int min_feasible_;
-  mutable bool min_feasible_stale_ = false;
   storage::ActiveSet active_;
+  int active_count_;
   std::vector<SlotIndex> last_change_;
   std::vector<bool> failed_;
+  int failed_count_ = 0;
+  /// Per group: replicas on non-failed nodes, and on active nodes.
+  std::vector<int> live_;
+  std::vector<int> group_active_;
+  std::uint32_t dark_coverable_ = 0;
+  // The target-0 greedy's removals, settled lazily by min_feasible():
+  // queued ids are re-decided highest first.
+  mutable std::vector<bool> removed_;
+  mutable int removed_count_ = 0;
+  mutable std::priority_queue<storage::NodeId> dirty_;
+  mutable std::vector<bool> queued_;
   Joules forced_energy_j_ = 0.0;
 };
 

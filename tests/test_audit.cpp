@@ -56,6 +56,21 @@ TEST(Audit, CleanRunPassesEveryCheck) {
   EXPECT_GE(f.report.checks.size(), 15u);
 }
 
+// PowerManager keeps coverage and the coverage floor incrementally;
+// power.coverage re-derives both with full scans at run end. Failures,
+// one of them permanent, are what move the floor.
+TEST(Audit, CoverageCheckPassesOnARunWithFailures) {
+  auto config = short_config();
+  config.node_failures.push_back(core::NodeFailureEvent{
+      .fail_at = 3 * 3600, .recover_at = 9 * 3600, .node = 2});
+  config.node_failures.push_back(core::NodeFailureEvent{
+      .fail_at = 5 * 3600, .recover_at = 0, .node = 11});
+  const Finished f = run_and_audit(config);
+  EXPECT_EQ(f.artifacts.result.scheduler.nodes_failed, 2u);
+  EXPECT_TRUE(check_passed(f.report, "power.coverage"));
+  EXPECT_TRUE(f.report.passed());
+}
+
 TEST(Audit, CleanRunPassesAcrossPoliciesAndVariants) {
   for (const char* policy : {"asap", "opportunistic", "greenmatch"}) {
     auto config = short_config();

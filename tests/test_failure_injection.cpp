@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "core/engine.hpp"
 #include "core/power_manager.hpp"
@@ -97,33 +99,169 @@ TEST(Failures, MinFeasibleTracksFailures) {
   EXPECT_EQ(pm.min_feasible(), before);
 }
 
-// fail_node/recover_node only mark the coverage floor stale; the
-// first read after them recomputes it. After any batch of events the
-// floor must equal a from-scratch greedy recompute, and a zero target
-// with no dwell must land on exactly that many active nodes.
+// PowerManager keeps the coverage floor, the active count and the
+// coverage verdict incrementally; Cluster::choose_active_set and the
+// covered/coverable scans are the reference. A seeded walk over every
+// transition kind checks them after each one, on cluster shapes that
+// stress the greedy: replicas in distinct racks, more replicas than
+// racks (nodes are the buckets), a single rack, and nodes that host no
+// group.
+struct CoverageShape {
+  const char* name;
+  int racks;
+  int nodes_per_rack;
+  std::uint32_t groups;
+  int replication;
+};
+
+class CoverageOracle {
+ public:
+  CoverageOracle(const storage::Cluster& cluster, const PowerManager& pm)
+      : cluster_(cluster), pm_(pm) {}
+
+  int floor() const {
+    return storage::Cluster::active_count(
+        cluster_.choose_active_set(0, &pm_.failed()));
+  }
+  int healthy() const {
+    return static_cast<int>(std::count(pm_.failed().begin(),
+                                       pm_.failed().end(), false));
+  }
+  storage::ActiveSet desired(int target) const {
+    return cluster_.choose_active_set(
+        std::clamp(target, floor(), healthy()), &pm_.failed());
+  }
+
+  // Counters that need no settling, valid after any transition.
+  void check_counts(const std::string& where) const {
+    ASSERT_EQ(pm_.active_count(),
+              storage::Cluster::active_count(pm_.active()))
+        << where;
+    const std::uint32_t covered = cluster_.covered_groups(pm_.active());
+    const std::uint32_t coverable =
+        cluster_.coverable_groups(pm_.failed());
+    ASSERT_LE(covered, coverable) << where;
+    ASSERT_EQ(pm_.dark_coverable_groups(), coverable - covered) << where;
+  }
+
+  void check_floor(const std::string& where) const {
+    ASSERT_EQ(pm_.min_feasible(), floor()) << where;
+  }
+
+ private:
+  const storage::Cluster& cluster_;
+  const PowerManager& pm_;
+};
+
+// A group with a live replica but no active one, scanning from a random
+// start; a random group when every coverable group is covered.
+storage::GroupId pick_wake_group(const storage::Cluster& cluster,
+                                 const PowerManager& pm, Rng& rng) {
+  const std::uint32_t groups = cluster.placement().group_count();
+  const auto start = static_cast<storage::GroupId>(rng.uniform_u64(groups));
+  for (std::uint32_t i = 0; i < groups; ++i) {
+    const storage::GroupId g = (start + i) % groups;
+    const auto& replicas = cluster.placement().replicas(g);
+    const auto lit = [&](storage::NodeId n) { return pm.active()[n]; };
+    const auto live = [&](storage::NodeId n) { return !pm.is_failed(n); };
+    if (std::none_of(replicas.begin(), replicas.end(), lit) &&
+        std::any_of(replicas.begin(), replicas.end(), live))
+      return g;
+  }
+  return start;
+}
+
+// A failed node when there is one (the next at or after a random id),
+// else a random node, which makes the recovery a no-op.
+storage::NodeId pick_recovery(const PowerManager& pm, Rng& rng) {
+  const std::size_t n = pm.failed().size();
+  const auto start = static_cast<storage::NodeId>(rng.uniform_u64(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto node = static_cast<storage::NodeId>((start + i) % n);
+    if (pm.is_failed(node)) return node;
+  }
+  return start;
+}
+
 TEST(Failures, CoverageFloorMatchesRecomputeAfterEventBatches) {
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    storage::Cluster cluster(tiny_cluster());
-    PowerManager pm(cluster, 0);
-    Rng rng(seed);
-    for (SlotIndex slot = 0; slot < 40; ++slot) {
-      const SimTime now = slot * 3600;
-      const auto events = 1 + rng.uniform_u64(6);
-      for (std::uint64_t e = 0; e < events; ++e) {
-        const auto node = static_cast<storage::NodeId>(
-            rng.uniform_u64(cluster.node_count()));
-        if (rng.bernoulli(0.5))
-          pm.fail_node(node, now);
-        else
-          pm.recover_node(node, now, slot);
+  const CoverageShape shapes[] = {
+      {"tiny", 2, 8, 128, 3},
+      {"fleet", 16, 80, 1024, 3},
+      {"replicas>racks", 2, 6, 64, 4},
+      {"one-rack", 1, 10, 40, 3},
+      {"empty-nodes", 4, 16, 6, 2},
+  };
+  for (const CoverageShape& shape : shapes) {
+    for (const int dwell : {0, 2}) {
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        storage::ClusterConfig config;
+        config.racks = shape.racks;
+        config.nodes_per_rack = shape.nodes_per_rack;
+        config.placement.group_count = shape.groups;
+        config.placement.replication = shape.replication;
+        storage::Cluster cluster(config);
+        PowerManager pm(cluster, dwell);
+        const CoverageOracle oracle(cluster, pm);
+        const auto nodes = cluster.node_count();
+        Rng rng(seed * 977 + static_cast<std::uint64_t>(dwell));
+        oracle.check_floor("initial");
+        for (int step = 0; step < 160; ++step) {
+          const SlotIndex slot = step / 3;
+          const SimTime now = slot * 3600;
+          std::ostringstream at;
+          at << shape.name << " dwell " << dwell << " seed " << seed
+             << " step " << step;
+          const std::string where = at.str();
+          switch (rng.uniform_u64(5)) {
+            case 0:
+            case 1: {
+              // A batch of 1–6 fail/recover events before the floor is
+              // read again.
+              const auto events = 1 + rng.uniform_u64(6);
+              for (std::uint64_t e = 0; e < events; ++e) {
+                if (rng.bernoulli(0.5))
+                  pm.fail_node(static_cast<storage::NodeId>(
+                                   rng.uniform_u64(nodes)),
+                               now);
+                else
+                  pm.recover_node(pick_recovery(pm, rng), now, slot);
+                oracle.check_counts(where + " event " + std::to_string(e));
+              }
+              break;
+            }
+            case 2: {
+              // Targets from below zero to past the healthy count.
+              const int target =
+                  static_cast<int>(rng.uniform_u64(nodes + 8)) - 4;
+              const storage::ActiveSet want = oracle.desired(target);
+              pm.apply_target(slot, target, now);
+              ASSERT_EQ(pm.dark_coverable_groups(), 0u) << where;
+              if (dwell == 0) {
+                ASSERT_EQ(pm.active(), want) << where << " target "
+                                             << target;
+              } else {
+                for (storage::NodeId n = 0; n < nodes; ++n)
+                  ASSERT_TRUE(!want[n] || pm.active()[n])
+                      << where << " node " << n;
+              }
+              break;
+            }
+            case 3:
+              pm.force_wake_for_group(pick_wake_group(cluster, pm, rng),
+                                      now, slot);
+              break;
+            default:
+              pm.wake_sleeping_replica(
+                  static_cast<storage::GroupId>(
+                      rng.uniform_u64(cluster.placement().group_count())),
+                  now, slot);
+              break;
+          }
+          oracle.check_counts(where);
+          oracle.check_floor(where);
+          if (HasFatalFailure()) return;
+        }
       }
-      const int floor = storage::Cluster::active_count(
-          cluster.choose_active_set(0, &pm.failed()));
-      ASSERT_EQ(pm.min_feasible(), floor)
-          << "seed " << seed << " slot " << slot;
-      pm.apply_target(slot, 0, now);
-      ASSERT_EQ(pm.active_count(), floor)
-          << "seed " << seed << " slot " << slot;
     }
   }
 }
