@@ -1000,6 +1000,7 @@ RunArtifacts SimulationEngine::finalize() {
     r.scheduler.solver_dijkstra_pops = totals.dijkstra_pops;
     r.scheduler.solver_relaxations = totals.dijkstra_relaxations;
     r.scheduler.solver_augmenting_paths = totals.augmenting_paths;
+    r.scheduler.solver_zero_paths = totals.zero_paths;
     r.scheduler.solver_arena_bytes_peak = totals.arena_bytes_peak;
     r.scheduler.solver_cs_phases = totals.cs_phases;
     r.scheduler.solver_cs_pushes = totals.cs_pushes;
@@ -1058,6 +1059,7 @@ RunArtifacts SimulationEngine::finalize() {
                     r.scheduler.solver_relaxations);
       m.counter_set("planner.augmenting_paths",
                     r.scheduler.solver_augmenting_paths);
+      m.counter_set("planner.zero_paths", r.scheduler.solver_zero_paths);
       // Cost-scaling / incremental counters (zero under the default
       // SSP solver, emitted unconditionally so dashboards can key on
       // them without probing which solver ran).

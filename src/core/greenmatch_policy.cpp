@@ -142,6 +142,7 @@ GreenMatchPolicy::SolverTotals GreenMatchPolicy::solver_totals() const {
     t.dijkstra_pops += s.dijkstra_pops;
     t.dijkstra_relaxations += s.dijkstra_relaxations;
     t.augmenting_paths += s.augmenting_paths;
+    t.zero_paths += s.zero_paths;
     t.arena_bytes_peak = std::max(t.arena_bytes_peak, s.arena_bytes_peak);
     t.cs_phases += s.cs_phases;
     t.cs_pushes += s.cs_pushes;
@@ -534,6 +535,7 @@ SlotDecision GreenMatchPolicy::plan_flow(const SlotContext& ctx) {
     solver_totals_.dijkstra_pops += st.dijkstra_pops;
     solver_totals_.dijkstra_relaxations += st.dijkstra_relaxations;
     solver_totals_.augmenting_paths += st.augmenting_paths;
+    solver_totals_.zero_paths += st.zero_paths;
     solver_totals_.cs_phases += st.cs_phases;
     solver_totals_.cs_pushes += st.cs_pushes;
     solver_totals_.cs_relabels += st.cs_relabels;

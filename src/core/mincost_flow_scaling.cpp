@@ -580,22 +580,10 @@ std::uint64_t CostScalingCore::bytes() const {
 
 MinCostFlow::Result MinCostFlow::run_cost_scaling(NodeIdx s, NodeIdx t,
                                                   long long max_flow) {
-  // Gather the externally added arcs in add order. Original capacity
-  // is recovered as fwd + rev residual so the gather is correct even
-  // on a network that already carries flow.
-  ext_arcs_.clear();
-  ext_arcs_.reserve(edge_refs_.size());
-  for (const auto& [node, idx] : edge_refs_) {
-    const Edge& fwd = graph_[node][idx];
-    const Edge& rev = graph_[fwd.to][fwd.rev];
-    ext_arcs_.push_back(CostScalingCore::ExtArc{
-        node, fwd.to, fwd.capacity + rev.capacity, fwd.cost});
-  }
-
+  // The edge list is the external arc list, in add order.
   bool patched = incremental_ && scaling_.has_state() &&
-                 scaling_.try_patch(node_count(), ext_arcs_, s, t,
-                                    max_flow);
-  if (!patched) scaling_.build(node_count(), ext_arcs_, s, t, max_flow);
+                 scaling_.try_patch(node_count(), edges_, s, t, max_flow);
+  if (!patched) scaling_.build(node_count(), edges_, s, t, max_flow);
 
   CostScalingCore::Result res{};
   CostScalingCore::Stats cs{};
@@ -604,7 +592,7 @@ MinCostFlow::Result MinCostFlow::run_cost_scaling(NodeIdx s, NodeIdx t,
     // docs/solver.md fallback rules): rebuild cold and try once more.
     GM_CHECK(patched, "cost-scaling solve failed on a cold build");
     patched = false;
-    scaling_.build(node_count(), ext_arcs_, s, t, max_flow);
+    scaling_.build(node_count(), edges_, s, t, max_flow);
     cs = CostScalingCore::Stats{};
     GM_CHECK(scaling_.solve(&res, &cs),
              "cost-scaling solve failed on a cold build");
@@ -624,15 +612,13 @@ MinCostFlow::Result MinCostFlow::run_cost_scaling(NodeIdx s, NodeIdx t,
   last_stats_.cs_arcs_fixed = cs.arcs_fixed;
   last_stats_.arena_bytes = arena_bytes();
 
-  // Write the flows back into the residual representation so
-  // flow_on(), the planner demux, and provenance work unchanged.
-  for (std::size_t i = 0; i < edge_refs_.size(); ++i) {
-    const auto [node, idx] = edge_refs_[i];
-    Edge& fwd = graph_[node][idx];
-    Edge& rev = graph_[fwd.to][fwd.rev];
+  // Write the flows back into the residual arcs so flow_on(), the
+  // planner demux, and provenance work unchanged.
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    Arc& fwd = arcs_[edge_arc_[i]];
     const long long flow = scaling_.flow_on(static_cast<int>(i));
-    fwd.capacity = ext_arcs_[i].cap - flow;
-    rev.capacity = flow;
+    fwd.capacity = edges_[i].cap - flow;
+    arcs_[fwd.rev].capacity = flow;
   }
   return Result{res.flow, res.cost};
 }

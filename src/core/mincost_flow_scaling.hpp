@@ -30,10 +30,10 @@
 //    false, caller rebuilds cold) when the topology diff is too large
 //    for the patch to be worth it, or when the shape changed.
 //
-// This class is deliberately independent of MinCostFlow's
-// arena/adjacency representation: it keeps its own forward-star arrays
-// tuned for the scan-heavy push-relabel loops, plus the retained state
-// (prices, residuals) that incremental re-optimization lives off.
+// This class is deliberately independent of MinCostFlow's arc layout:
+// it keeps its own forward-star arrays tuned for the scan-heavy
+// push-relabel loops, plus the retained state (prices, residuals) that
+// incremental re-optimization lives off.
 
 #include <cstdint>
 #include <unordered_map>

@@ -188,6 +188,7 @@ class GreenMatchPolicy final : public SchedulerPolicy {
     std::uint64_t dijkstra_pops = 0;
     std::uint64_t dijkstra_relaxations = 0;
     std::uint64_t augmenting_paths = 0;
+    std::uint64_t zero_paths = 0;
     std::uint64_t arena_bytes_peak = 0;
     // Cost-scaling work (zero under the default SSP solver):
     std::uint64_t cs_phases = 0;
@@ -289,8 +290,8 @@ class GreenMatchPolicy final : public SchedulerPolicy {
 
   /// The matching network, kept across plan calls as an arena: the
   /// planner rebuilds the edges every solve, but reset() preserves the
-  /// adjacency-list and Dijkstra scratch allocations, so steady-state
-  /// planning is allocation-free (see mincost_flow.hpp).
+  /// edge list, arc array and search scratch allocations, so
+  /// steady-state planning is allocation-free (see mincost_flow.hpp).
   MinCostFlow flow_{1};
 
   /// One aggregated planner node: every member task contributes

@@ -94,6 +94,7 @@ struct SchedulerReport {
   std::uint64_t solver_dijkstra_pops = 0;
   std::uint64_t solver_relaxations = 0;
   std::uint64_t solver_augmenting_paths = 0;
+  std::uint64_t solver_zero_paths = 0;  ///< found without a Dijkstra
   std::uint64_t solver_arena_bytes_peak = 0;
   // Cost-scaling solver telemetry (zero under the default SSP solver;
   // docs/solver.md has the field glossary).

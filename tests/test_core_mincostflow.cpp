@@ -1,12 +1,15 @@
 // Min-cost max-flow solver tests: hand-checked instances, property
-// checks (flow conservation, capacity limits) and optimality against
-// brute force on random small bipartite assignment instances.
+// checks (flow conservation, capacity limits), optimality against
+// brute force on random small bipartite assignment instances, and the
+// SSP solver pinned bit for bit to a Dijkstra-per-path oracle.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mincost_flow.hpp"
@@ -246,12 +249,14 @@ void expect_reduced_costs_nonnegative(const RandomNetwork& net,
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const auto& e = net.edges[i];
     const long long flow = f.flow_on(ids[i]);
-    if (e.cap - flow > 0)  // forward residual
+    if (e.cap - flow > 0) {  // forward residual
       EXPECT_GE(e.cost + pot[e.a] - pot[e.b], 0)
           << "edge " << e.a << "->" << e.b;
-    if (flow > 0)  // reverse residual
+    }
+    if (flow > 0) {  // reverse residual
       EXPECT_GE(-e.cost + pot[e.b] - pot[e.a], 0)
           << "edge " << e.b << "->" << e.a << " (residual)";
+    }
   }
 }
 
@@ -320,10 +325,12 @@ TEST(MinCostFlow, SolveStatsCountWork) {
   EXPECT_EQ(st.nodes, 4);
   EXPECT_EQ(st.arcs, 4u);
   EXPECT_FALSE(st.warm);
-  // Every augmenting path is found by one Dijkstra; the final run
-  // discovers there is no more flow to send.
+  // Every augmenting path is found by one search; the final run
+  // discovers there is no more flow to send. Zero-reduced-cost paths
+  // are found without a Dijkstra, and they are augmenting paths too.
   EXPECT_GT(st.augmenting_paths, 0u);
   EXPECT_GE(st.dijkstra_runs, st.augmenting_paths);
+  EXPECT_LE(st.zero_paths, st.augmenting_paths);
   EXPECT_GT(st.dijkstra_pops, 0u);
   EXPECT_GT(st.dijkstra_relaxations, 0u);
   EXPECT_GT(st.arena_bytes, 0u);
@@ -351,6 +358,405 @@ TEST(MinCostFlow, SolveStatsResetPerSolveAndMarkWarm) {
   EXPECT_LE(f.last_stats().dijkstra_runs, cold_runs);
   EXPECT_EQ(f.last_stats().arcs, 1u);
 }
+
+// ---- the Dijkstra-per-path oracle ------------------------------------
+//
+// MinCostFlow finds augmenting paths of zero reduced cost with a
+// lowest-index-first walk and runs a Dijkstra only when the walk
+// misses the sink (docs/solver.md §SSP). ReferenceSsp is the solver's
+// former loop — one heap Dijkstra per augmenting path, on its own
+// vector-of-vectors copy of the network — kept here as the oracle. The
+// two must agree bit for bit: flow on every edge, flow value, cost,
+// final potentials, warm-seed verdict and the number of searches and
+// augmenting paths.
+
+struct OracleNet {
+  struct E {
+    int a, b;
+    long long cap, cost;
+  };
+  int nodes = 0;
+  int s = 0;
+  int t = 0;
+  long long max_flow = LLONG_MAX / 4;
+  std::vector<E> edges;
+};
+
+class ReferenceSsp {
+ public:
+  using NodeIdx = int;
+  static constexpr long long kInfCost = MinCostFlow::kInfCost;
+
+  explicit ReferenceSsp(const OracleNet& net)
+      : graph_(static_cast<std::size_t>(net.nodes)) {
+    for (const auto& e : net.edges) {
+      const int fwd = static_cast<int>(graph_[e.a].size());
+      const int rev =
+          static_cast<int>(graph_[e.b].size()) + (e.a == e.b ? 1 : 0);
+      graph_[e.a].push_back(Edge{e.b, e.cap, e.cost, rev});
+      graph_[e.b].push_back(Edge{e.a, 0, -e.cost, fwd});
+      edge_refs_.emplace_back(e.a, fwd);
+    }
+  }
+
+  /// A null `warm` is the cold solve; otherwise the seed is validated
+  /// exactly as MinCostFlow::solve does.
+  MinCostFlow::Result solve(NodeIdx s, NodeIdx t, long long max_flow,
+                            const std::vector<long long>* warm) {
+    warm_accepted_ = warm != nullptr && potentials_valid(*warm);
+    if (warm_accepted_)
+      potential_ = *warm;
+    else
+      potential_.assign(graph_.size(), 0);
+    return run_ssp(s, t, max_flow);
+  }
+
+  long long flow_on(int edge_index) const {
+    const auto [node, idx] = edge_refs_[edge_index];
+    const Edge& fwd = graph_[node][idx];
+    return graph_[fwd.to][fwd.rev].capacity;
+  }
+  const std::vector<long long>& potentials() const { return potential_; }
+  bool warm_accepted() const { return warm_accepted_; }
+  std::uint64_t dijkstra_runs() const { return dijkstra_runs_; }
+  std::uint64_t augmenting_paths() const { return augmenting_paths_; }
+
+ private:
+  struct Edge {
+    NodeIdx to;
+    long long capacity;  ///< residual capacity
+    long long cost;
+    int rev;  ///< index of reverse edge in graph_[to]
+  };
+
+  int node_count() const { return static_cast<int>(graph_.size()); }
+
+  bool potentials_valid(const std::vector<long long>& pot) const {
+    if (pot.size() != graph_.size()) return false;
+    const int n = node_count();
+    for (int u = 0; u < n; ++u) {
+      for (const Edge& e : graph_[u]) {
+        if (e.capacity <= 0) continue;
+        if (e.cost + pot[u] - pot[e.to] < 0) return false;
+      }
+    }
+    return true;
+  }
+
+  MinCostFlow::Result run_ssp(NodeIdx s, NodeIdx t, long long max_flow) {
+    const int n = node_count();
+    dist_.resize(static_cast<std::size_t>(n));
+    prev_node_.resize(static_cast<std::size_t>(n));
+    prev_edge_.resize(static_cast<std::size_t>(n));
+
+    MinCostFlow::Result result;
+    while (result.flow < max_flow) {
+      ++dijkstra_runs_;
+      if (!dijkstra(s, t)) break;  // no augmenting path
+      ++augmenting_paths_;
+
+      // Johnson potential update, clamped at dist[t]. For settled
+      // nodes this is the classic exact update; for nodes the early
+      // exit left unsettled (label, if any, >= dist[t]) the clamp
+      // preserves the non-negative reduced-cost invariant on every
+      // residual edge.
+      const long long dt = dist_[t];
+      for (int v = 0; v < n; ++v)
+        potential_[v] += std::min(dist_[v], dt);
+
+      // Bottleneck along the path.
+      long long push = max_flow - result.flow;
+      for (NodeIdx v = t; v != s; v = prev_node_[v])
+        push = std::min(push,
+                        graph_[prev_node_[v]][prev_edge_[v]].capacity);
+      GM_ASSERT(push > 0);
+
+      for (NodeIdx v = t; v != s; v = prev_node_[v]) {
+        Edge& e = graph_[prev_node_[v]][prev_edge_[v]];
+        e.capacity -= push;
+        graph_[v][e.rev].capacity += push;
+        result.cost += push * e.cost;
+      }
+      result.flow += push;
+    }
+    return result;
+  }
+
+  bool dijkstra(NodeIdx s, NodeIdx t) {
+    const auto heap_greater = std::greater<>{};
+    std::fill(dist_.begin(), dist_.end(), kInfCost);
+    dist_[s] = 0;
+    heap_.clear();
+    heap_.emplace_back(0, s);
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), heap_greater);
+      const auto [d, u] = heap_.back();
+      heap_.pop_back();
+      if (d > dist_[u]) continue;
+      // Early exit once the sink is settled: remaining pops have
+      // d >= dist[t], so no relaxation can improve any node on the
+      // found path. Nodes left unsettled get their potential clamped
+      // to dist[t] by the caller, which keeps reduced costs
+      // non-negative.
+      if (u == t) break;
+      for (int i = 0; i < static_cast<int>(graph_[u].size()); ++i) {
+        const Edge& e = graph_[u][i];
+        if (e.capacity <= 0) continue;
+        const long long nd =
+            d + e.cost + potential_[u] - potential_[e.to];
+        GM_ASSERT_MSG(e.cost + potential_[u] - potential_[e.to] >= 0,
+                      "negative reduced cost — potentials invalid");
+        if (nd < dist_[e.to]) {
+          dist_[e.to] = nd;
+          prev_node_[e.to] = u;
+          prev_edge_[e.to] = i;
+          heap_.emplace_back(nd, e.to);
+          std::push_heap(heap_.begin(), heap_.end(), heap_greater);
+        }
+      }
+    }
+    return dist_[t] < kInfCost;
+  }
+
+  std::vector<std::vector<Edge>> graph_;
+  std::vector<std::pair<NodeIdx, int>> edge_refs_;
+  bool warm_accepted_ = false;
+  std::uint64_t dijkstra_runs_ = 0;
+  std::uint64_t augmenting_paths_ = 0;
+  std::vector<long long> potential_;
+  std::vector<long long> dist_;
+  std::vector<int> prev_node_;
+  std::vector<int> prev_edge_;
+  std::vector<std::pair<long long, NodeIdx>> heap_;
+};
+
+/// Shortest distances from net.s over edges with capacity: a feasible
+/// potential for the fresh network. Unreachable nodes take the largest
+/// finite distance, which keeps every arc out of them non-negative.
+/// Scaling the result by num/den in [0, 1] keeps it feasible.
+std::vector<long long> feasible_seed(const OracleNet& net, long long num,
+                                     long long den) {
+  std::vector<long long> d(static_cast<std::size_t>(net.nodes),
+                           MinCostFlow::kInfCost);
+  d[net.s] = 0;
+  for (int pass = 0; pass < net.nodes; ++pass)
+    for (const auto& e : net.edges)
+      if (e.cap > 0 && d[e.a] < MinCostFlow::kInfCost)
+        d[e.b] = std::min(d[e.b], d[e.a] + e.cost);
+  long long finite_max = 0;
+  for (const long long v : d)
+    if (v < MinCostFlow::kInfCost) finite_max = std::max(finite_max, v);
+  for (long long& v : d) {
+    if (v >= MinCostFlow::kInfCost) v = finite_max;
+    v = v * num / den;
+  }
+  return d;
+}
+
+/// Random network: up to `max_nodes` nodes, parallel and antiparallel
+/// arcs and self-loops, costs from a few distinct values (many ties) or
+/// a wide range, and a bounded or unbounded flow target.
+OracleNet random_oracle_net(Rng& rng, int max_nodes) {
+  OracleNet net;
+  net.nodes = 2 + static_cast<int>(rng.uniform_u64(
+                      static_cast<std::uint64_t>(max_nodes) - 1));
+  const long long cost_range =
+      rng.bernoulli(0.5) ? 1 + static_cast<long long>(rng.uniform_u64(3))
+                         : 1'000'000;
+  const long long cap_range = 1 + static_cast<long long>(rng.uniform_u64(8));
+  const auto cost = [&] {
+    return static_cast<long long>(
+        rng.uniform_u64(static_cast<std::uint64_t>(cost_range)));
+  };
+  const auto cap = [&] {
+    return static_cast<long long>(
+        rng.uniform_u64(static_cast<std::uint64_t>(cap_range) + 1));
+  };
+  const auto node = [&] {
+    return static_cast<int>(
+        rng.uniform_u64(static_cast<std::uint64_t>(net.nodes)));
+  };
+  const int arcs =
+      net.nodes * (1 + static_cast<int>(rng.uniform_u64(6)));
+  for (int i = 0; i < arcs; ++i) {
+    const int a = node();
+    const int b = node();
+    net.edges.push_back({a, b, cap(), cost()});
+    switch (rng.uniform_u64(8)) {
+      case 0:  // parallel
+        net.edges.push_back({a, b, cap(), cost()});
+        break;
+      case 1:  // antiparallel
+        net.edges.push_back({b, a, cap(), cost()});
+        break;
+      case 2:  // self-loop
+        net.edges.push_back({a, a, cap(), cost()});
+        break;
+      default:
+        break;
+    }
+  }
+  net.s = node();
+  do {
+    net.t = node();
+  } while (net.t == net.s);
+  if (rng.bernoulli(0.3))
+    net.max_flow = static_cast<long long>(rng.uniform_u64(
+        static_cast<std::uint64_t>(cap_range) * 4));
+  return net;
+}
+
+/// Planner-shaped network (GreenMatchPolicy::plan_flow): classes feed
+/// 24 slots, each slot drains to the sink through green supply or the
+/// grid, and an optional battery chain carries energy across slots.
+OracleNet planner_oracle_net(Rng& rng, bool battery) {
+  const int h = 24;
+  const int classes = 1 + static_cast<int>(rng.uniform_u64(65));
+  const int slot_base = classes + 1;
+  const int g_base = slot_base + h;
+  const int b_base = g_base + h;
+  const int beyond = b_base + (battery ? h + 1 : 0);
+  OracleNet net;
+  net.nodes = beyond + 2;
+  net.s = 0;
+  net.t = beyond + 1;
+  const long long cap_per_slot =
+      8 + static_cast<long long>(rng.uniform_u64(200));
+  long long total_units = 0;
+  for (int c = 0; c < classes; ++c) {
+    const auto m = 1 + static_cast<long long>(rng.uniform_u64(120));
+    const auto units = 1 + static_cast<long long>(rng.uniform_u64(4));
+    total_units += m * units;
+    net.edges.push_back({0, c + 1, m * units, 0});
+    const int jmax = 1 + static_cast<int>(rng.uniform_u64(h));
+    for (int j = 0; j < jmax; ++j)
+      net.edges.push_back({c + 1, slot_base + j, m, j});
+    if (rng.bernoulli(0.5))
+      net.edges.push_back({c + 1, beyond, m * units, 1'000'000});
+  }
+  for (int j = 0; j < h; ++j) {
+    const auto green = static_cast<long long>(
+        rng.uniform_u64(static_cast<std::uint64_t>(cap_per_slot) * 2));
+    net.edges.push_back({slot_base + j, g_base + j, cap_per_slot, 0});
+    net.edges.push_back(
+        {g_base + j, net.t, std::min(green, cap_per_slot), 0});
+    net.edges.push_back(
+        {slot_base + j, net.t, cap_per_slot,
+         1000 + static_cast<long long>(rng.uniform_u64(4)) * 250});
+  }
+  if (battery) {
+    const auto discharge = static_cast<long long>(rng.uniform_u64(40));
+    const auto charge = static_cast<long long>(rng.uniform_u64(40));
+    for (int j = 0; j < h; ++j) {
+      if (discharge > 0)
+        net.edges.push_back({slot_base + j, b_base + j,
+                             std::min(discharge, cap_per_slot), 0});
+      if (charge > 0)
+        net.edges.push_back({b_base + j + 1, g_base + j, charge, 250});
+    }
+    for (int j = h; j >= 1; --j)
+      net.edges.push_back({b_base + j, b_base + j - 1,
+                           static_cast<long long>(rng.uniform_u64(60)), 1});
+    const auto initial = static_cast<long long>(rng.uniform_u64(30));
+    if (initial > 0) net.edges.push_back({b_base, net.t, initial, 0});
+  }
+  net.edges.push_back({beyond, net.t, total_units, 0});
+  net.max_flow = total_units;
+  return net;
+}
+
+/// Solves `net` with the oracle and with `f` (reused across calls, as
+/// the planner reuses its instance) and requires identical outcomes.
+void expect_matches_oracle(MinCostFlow& f, const OracleNet& net,
+                           const std::vector<long long>* warm,
+                           const std::string& label) {
+  ReferenceSsp ref(net);
+  const auto want = ref.solve(net.s, net.t, net.max_flow, warm);
+
+  f.reset(net.nodes);
+  for (const auto& e : net.edges) f.add_edge(e.a, e.b, e.cap, e.cost);
+  const auto accepts = f.warm_accepts();
+  const auto got = warm != nullptr
+                       ? f.solve(net.s, net.t, net.max_flow, *warm)
+                       : f.solve(net.s, net.t, net.max_flow);
+  ASSERT_EQ(got.flow, want.flow) << label;
+  ASSERT_EQ(got.cost, want.cost) << label;
+  ASSERT_EQ(f.warm_accepts() - accepts, ref.warm_accepted() ? 1u : 0u)
+      << label;
+  for (std::size_t i = 0; i < net.edges.size(); ++i)
+    ASSERT_EQ(f.flow_on(static_cast<int>(i)),
+              ref.flow_on(static_cast<int>(i)))
+        << label << " edge " << i;
+  ASSERT_EQ(f.potentials(), ref.potentials()) << label;
+  const auto& st = f.last_stats();
+  ASSERT_EQ(st.dijkstra_runs, ref.dijkstra_runs()) << label;
+  ASSERT_EQ(st.augmenting_paths, ref.augmenting_paths()) << label;
+  ASSERT_LE(st.zero_paths, st.augmenting_paths) << label;
+}
+
+/// Cold, accepted-warm and rejected-warm solves of one network.
+void expect_all_starts_match(MinCostFlow& f, Rng& rng, const OracleNet& net,
+                             const std::string& label) {
+  expect_matches_oracle(f, net, nullptr, label + " cold");
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const long long den = 1 + static_cast<long long>(rng.uniform_u64(4));
+  const auto seed = feasible_seed(
+      net, static_cast<long long>(rng.uniform_u64(
+               static_cast<std::uint64_t>(den) + 1)),
+      den);
+  auto accepts = f.warm_accepts();
+  expect_matches_oracle(f, net, &seed, label + " warm");
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_EQ(f.warm_accepts(), accepts + 1) << label << " warm";
+
+  // A huge potential on the sink makes every residual arc into it
+  // reduced-negative, so the seed is rejected whenever one exists.
+  std::vector<long long> bad(static_cast<std::size_t>(net.nodes));
+  for (auto& v : bad) v = static_cast<long long>(rng.uniform_u64(50));
+  bad[static_cast<std::size_t>(net.t)] = 1'000'000'000;
+  const bool t_fed = std::any_of(
+      net.edges.begin(), net.edges.end(), [&](const OracleNet::E& e) {
+        return e.b == net.t && e.a != net.t && e.cap > 0;
+      });
+  accepts = f.warm_accepts();
+  expect_matches_oracle(f, net, &bad, label + " rejected warm");
+  if (t_fed) {
+    EXPECT_EQ(f.warm_accepts(), accepts) << label << " rejected warm";
+  }
+}
+
+class ZeroPathOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(ZeroPathOracle, RandomNetworksMatchDijkstraPerPath) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
+  MinCostFlow f(1);
+  for (int i = 0; i < 24; ++i) {
+    // Mostly small networks; every fourth spans several frontier words.
+    const int max_nodes = i % 4 == 3 ? 300 : 24;
+    const OracleNet net = random_oracle_net(rng, max_nodes);
+    expect_all_starts_match(f, rng, net,
+                            "seed " + std::to_string(GetParam()) +
+                                " net " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_P(ZeroPathOracle, PlannerNetworksMatchDijkstraPerPath) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104'729 + 11);
+  MinCostFlow f(1);
+  for (int i = 0; i < 4; ++i) {
+    const bool battery = i % 2 == 1;
+    const OracleNet net = planner_oracle_net(rng, battery);
+    expect_all_starts_match(f, rng, net,
+                            "seed " + std::to_string(GetParam()) +
+                                (battery ? " battery" : " supply-only") +
+                                " net " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ZeroPathOracle, ::testing::Range(0, 20));
 
 // ---- the cost-scaling solver ----------------------------------------
 //

@@ -255,8 +255,8 @@ TEST_P(GreenMatchBothVariants, OverdueTaskRunsImmediately) {
 
 INSTANTIATE_TEST_SUITE_P(FlowAndGreedy, GreenMatchBothVariants,
                          ::testing::Values(false, true),
-                         [](const auto& info) {
-                           return info.param ? "greedy" : "flow";
+                         [](const auto& param_info) {
+                           return param_info.param ? "greedy" : "flow";
                          });
 
 TEST(GreenMatch, FlowBeatsOrMatchesGreedyOnBrownCost) {

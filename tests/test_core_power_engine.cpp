@@ -157,13 +157,14 @@ INSTANTIATE_TEST_SUITE_P(
                       PolicyKind::kGreenMatch,
                       PolicyKind::kGreenMatchGreedy,
                       PolicyKind::kNightShift),
-    [](const auto& info) {
-      return std::string(policy_kind_name(info.param)) == "night-shift"
+    [](const auto& param_info) {
+      return std::string(policy_kind_name(param_info.param)) ==
+                     "night-shift"
                  ? "nightshift"
-                 : std::string(policy_kind_name(info.param)) ==
+                 : std::string(policy_kind_name(param_info.param)) ==
                            "greenmatch-greedy"
                        ? "greenmatchgreedy"
-                       : policy_kind_name(info.param);
+                       : policy_kind_name(param_info.param);
     });
 
 TEST(Engine, DeterministicAcrossRuns) {
@@ -251,7 +252,9 @@ TEST(Engine, LedgerSlotSeriesIsContiguous) {
   for (std::size_t i = 0; i < slots.size(); ++i) {
     EXPECT_EQ(slots[i].slot, static_cast<SlotIndex>(i));
     EXPECT_EQ(slots[i].end - slots[i].start, 3600);
-    if (i > 0) EXPECT_EQ(slots[i].start, slots[i - 1].end);
+    if (i > 0) {
+      EXPECT_EQ(slots[i].start, slots[i - 1].end);
+    }
   }
   EXPECT_EQ(artifacts.active_nodes_per_slot.size(), slots.size());
 }

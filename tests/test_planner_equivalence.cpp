@@ -264,7 +264,9 @@ TEST(PlannerWarmStart, SequenceMatchesColdSolves) {
       ASSERT_EQ(warm_stats.cost, cold_stats.cost)
           << "seed " << seed << " step " << step;
       expect_valid_run_set(ctx, warm_decision);
-      if (step > 0) EXPECT_TRUE(warm_stats.warm_start);
+      if (step > 0) {
+        EXPECT_TRUE(warm_stats.warm_start);
+      }
 
       // Advance one slot: shift forecasts, drift work, drop/add tasks.
       ctx.slot += 1;
@@ -515,9 +517,10 @@ TEST(PlannerSharding, PartitionIsDeterministicDisjointCover) {
     }
     EXPECT_EQ(node_sum, facts.total_nodes);
     EXPECT_EQ(task_sum, ctx.pending.size());
-    if (!ctx.green_forecast_w.empty())
+    if (!ctx.green_forecast_w.empty()) {
       EXPECT_NEAR(green0_sum, ctx.green_forecast_w[0],
                   1e-6 * (1.0 + ctx.green_forecast_w[0]));
+    }
 
     // Deterministic: a second partition is identical.
     const auto again = shard::partition(ctx, facts, shards);

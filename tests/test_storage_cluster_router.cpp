@@ -51,8 +51,11 @@ TEST(Cluster, ChooseActiveSetMonotoneNested) {
   const ActiveSet small = cl.choose_active_set(0);
   const ActiveSet large =
       cl.choose_active_set(static_cast<int>(cl.node_count()) - 1);
-  for (NodeId n = 0; n < cl.node_count(); ++n)
-    if (small[n]) EXPECT_TRUE(large[n]);
+  for (NodeId n = 0; n < cl.node_count(); ++n) {
+    if (small[n]) {
+      EXPECT_TRUE(large[n]);
+    }
+  }
 }
 
 TEST(Cluster, MinFeasibleBelowTotal) {

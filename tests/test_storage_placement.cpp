@@ -145,10 +145,12 @@ TEST(Placement, MinimalMovementOnNodeRemoval) {
       EXPECT_EQ(before, after) << "untouched group " << g << " moved";
     } else {
       // The surviving replica keeps its slot.
-      for (NodeId n : before)
-        if (n != removed)
+      for (NodeId n : before) {
+        if (n != removed) {
           EXPECT_NE(std::find(after.begin(), after.end(), n),
                     after.end());
+        }
+      }
     }
   }
 }

@@ -40,9 +40,9 @@
 // Examples:
 //   greenmatch_sim policy.kind=asap battery.kwh=40
 //   greenmatch_sim experiment.conf sim.fidelity=event --slots
-//   greenmatch_sim configs/canonical_week.conf --trace=run.jsonl \
-//       --metrics=run.prom --profile --provenance \
-//       --chrome-trace=run.trace.json
+//   greenmatch_sim configs/canonical_week.conf --trace=run.jsonl
+//       --metrics=run.prom --profile --provenance
+//       --chrome-trace=run.trace.json        (one command line)
 
 #include <cstring>
 #include <iostream>
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
             << "  pops: " << s.solver_dijkstra_pops
             << "  relaxations: " << s.solver_relaxations
             << "  augmenting paths: " << s.solver_augmenting_paths
-            << '\n'
+            << "  zero paths: " << s.solver_zero_paths << '\n'
             << "  arena bytes (peak): " << s.solver_arena_bytes_peak
             << '\n';
         // Cost-scaling line only when that solver actually ran — the
