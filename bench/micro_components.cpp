@@ -315,8 +315,10 @@ BENCHMARK(BM_GreenMatchPlanWeekSharded)
 // throughput over the hot-path CPU alone (the slot replans around it
 // are the same work the closed-loop engine does and are timed by
 // BM_GreenMatchPlanWeek); the latency counters are the per-decision
-// wall quantiles. Compare against BM_AdmissionThroughputNaive at the
-// same Arg for the A/B in BENCH_PR10.json.
+// wall quantiles. decide() times itself only while a recorder is
+// installed, so each run gets a default one (no trace, no profile).
+// Compare against BM_AdmissionThroughputNaive at the same Arg for the
+// A/B in BENCH_PR10.json.
 void BM_AdmissionThroughput(benchmark::State& state) {
   const int scale = static_cast<int>(state.range(0));
   auto config = massive_fleet_config(scale);
@@ -326,7 +328,10 @@ void BM_AdmissionThroughput(benchmark::State& state) {
   config.arrivals.seed = 9090;
   double decisions = 0.0, wall_ms = 0.0, p50 = 0.0, p99 = 0.0;
   for (auto _ : state) {
-    const auto r = core::run_experiment(config).result;
+    const auto r =
+        core::run_experiment(config, std::make_shared<obs::Recorder>(
+                                         obs::RecorderConfig{}))
+            .result;
     decisions += static_cast<double>(r.qos.admission_decisions);
     wall_ms += r.scheduler.admission_decision_wall_ms;
     p50 = r.scheduler.admission_decision_p50_us;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "obs/recorder.hpp"
 #include "util/assert.hpp"
 
 namespace gm::core {
@@ -36,6 +37,7 @@ AdmissionController::AdmissionController(const AdmissionConfig& config,
   green_j_.assign(static_cast<std::size_t>(horizon_), 0.0);
   baseline_j_.assign(static_cast<std::size_t>(horizon_), 0.0);
   committed_j_.assign(static_cast<std::size_t>(horizon_), 0.0);
+  commit_scratch_j_.assign(static_cast<std::size_t>(horizon_), 0.0);
 }
 
 void AdmissionController::fill_slot(SlotIndex slot) {
@@ -82,9 +84,17 @@ Joules AdmissionController::headroom_j(SlotIndex slot) const {
   return std::max(0.0, surplus);
 }
 
+Joules AdmissionController::committed_j(SlotIndex slot) const {
+  if (slot < base_slot_ || slot >= base_slot_ + horizon_) return 0.0;
+  return committed_j_[idx(slot)];
+}
+
 void AdmissionController::rebuild_commitments(
     const std::vector<PendingTask>& pending, SimTime now) {
-  std::fill(committed_j_.begin(), committed_j_.end(), 0.0);
+  // Shares accumulate base-relative (k = s - base_slot_) in a
+  // contiguous scratch array that lands in the ring once: each slot
+  // still sums 0.0 plus the same shares in pending order.
+  std::fill(commit_scratch_j_.begin(), commit_scratch_j_.end(), 0.0);
   const SlotIndex last_visible = base_slot_ + horizon_ - 1;
   for (const PendingTask& p : pending) {
     const Joules need =
@@ -95,16 +105,34 @@ void AdmissionController::rebuild_commitments(
     last = std::min(std::max(last, base_slot_), last_visible);
     const SlotIndex width = last - base_slot_ + 1;
     const Joules share = need / static_cast<double>(width);
-    for (SlotIndex s = base_slot_; s <= last; ++s) {
-      committed_j_[idx(s)] += share;
-    }
+    for (SlotIndex k = 0; k < width; ++k)
+      commit_scratch_j_[static_cast<std::size_t>(k)] += share;
   }
+  for (SlotIndex k = 0; k < horizon_; ++k)
+    committed_j_[idx(base_slot_ + k)] =
+        commit_scratch_j_[static_cast<std::size_t>(k)];
   (void)now;
 }
 
 AdmissionDecision AdmissionController::decide(
     const storage::BackgroundTask& task, SimTime now) {
+  (void)now;
+  // Timed only when a recorder is attached, the rule the engine applies
+  // to its plan-latency histogram: two clock reads cost more than the
+  // decision itself.
+  if (obs::current_recorder() == nullptr) return decide_on_ledger(task);
   const auto t0 = std::chrono::steady_clock::now();
+  const AdmissionDecision decision = decide_on_ledger(task);
+  const double us = std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  latency_us_.add(us);
+  stats_.decision_wall_ms += us / 1000.0;
+  return decision;
+}
+
+AdmissionDecision AdmissionController::decide_on_ledger(
+    const storage::BackgroundTask& task) {
   ++stats_.decisions;
   AdmissionDecision decision;
 
@@ -164,13 +192,6 @@ AdmissionDecision AdmissionController::decide(
     decision.reason = "no-headroom";
     ++stats_.rejected;
   }
-
-  const auto t1 = std::chrono::steady_clock::now();
-  const double us =
-      std::chrono::duration<double, std::micro>(t1 - t0).count();
-  latency_us_.add(us);
-  stats_.decision_wall_ms += us / 1000.0;
-  (void)now;
   return decision;
 }
 

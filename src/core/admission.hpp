@@ -67,7 +67,8 @@ struct AdmissionStats {
   std::uint64_t deferred = 0;  ///< defer decisions, not unique tasks
   std::uint64_t rejected = 0;
   std::uint64_t overflow_admits = 0;  ///< subset of admitted
-  double decision_wall_ms = 0.0;      ///< hot-path CPU (telemetry)
+  /// Hot-path CPU (telemetry); summed only with a recorder attached.
+  double decision_wall_ms = 0.0;
 };
 
 class AdmissionController {
@@ -105,19 +106,25 @@ class AdmissionController {
                            SimTime now);
 
   /// The hot path: admit/defer/reject `task` arriving at `now`.
-  /// Bounded scan, no solver, no allocation.
+  /// Bounded scan, no solver, no allocation. Times itself into
+  /// latency_us() and stats().decision_wall_ms only while an
+  /// obs::Recorder is installed; the decision is the same either way.
   AdmissionDecision decide(const storage::BackgroundTask& task,
                            SimTime now);
 
   /// Residual headroom of an absolute slot (0 outside the ledger).
   Joules headroom_j(SlotIndex slot) const;
+  /// Energy committed to a slot by the last rebuild_commitments and
+  /// the admissions since (0 outside the ledger).
+  Joules committed_j(SlotIndex slot) const;
   Joules battery_credit_j() const { return battery_credit_j_; }
   /// Dynamic energy a task needs for `work_s` seconds of execution.
   Joules task_energy_j(double utilization, Seconds work_s) const;
 
   const AdmissionStats& stats() const { return stats_; }
   /// Per-decision wall latency in microseconds (telemetry only — the
-  /// histogram never feeds deterministic outputs).
+  /// histogram never feeds deterministic outputs). Empty unless
+  /// decide() ran with a recorder installed.
   const obs::LogHistogram& latency_us() const { return latency_us_; }
   SlotIndex base_slot() const { return base_slot_; }
   int horizon_slots() const { return horizon_; }
@@ -127,6 +134,8 @@ class AdmissionController {
     return static_cast<std::size_t>(slot % horizon_);
   }
   void fill_slot(SlotIndex slot);
+  /// decide() without its timing.
+  AdmissionDecision decide_on_ledger(const storage::BackgroundTask& task);
 
   AdmissionConfig config_;
   Facts facts_;
@@ -142,6 +151,8 @@ class AdmissionController {
   std::vector<Joules> green_j_;
   std::vector<Joules> baseline_j_;
   std::vector<Joules> committed_j_;
+  /// rebuild_commitments scratch, indexed by slot - base_slot_.
+  std::vector<Joules> commit_scratch_j_;
   AdmissionStats stats_;
   obs::LogHistogram latency_us_;
 };

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <iterator>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/config_io.hpp"
 #include "core/policies.hpp"
@@ -434,8 +432,10 @@ const SlotContext& SimulationEngine::make_context(SlotIndex slot,
 std::vector<std::size_t> SimulationEngine::assign_tasks(
     const SlotDecision& decision, SimTime now, Joules& migration_j) {
   GM_OBS_SCOPE("engine.assign_tasks");
-  std::unordered_set<storage::TaskId> chosen(decision.run_tasks.begin(),
-                                             decision.run_tasks.end());
+  // The run set, the per-node buffers and their allocations are
+  // engine members reused across slots.
+  run_set_.reset(decision.run_tasks.size());
+  for (const storage::TaskId id : decision.run_tasks) run_set_.insert(id);
 
   // Per-node headroom under the post-transition active set. `active`
   // is a live reference: urgent-task wake-ups below update it.
@@ -446,12 +446,13 @@ std::vector<std::size_t> SimulationEngine::assign_tasks(
           ? fg_util_[static_cast<std::size_t>(slots_.slot_of(now))] /
                 active_count
           : 0.0;
-  std::vector<int> free_slots(cluster_.node_count(), 0);
-  std::vector<double> node_util(cluster_.node_count(), 0.0);
+  const int task_slots = config_.cluster.node.task_slots;
+  free_slots_.resize(cluster_.node_count());
+  node_util_.resize(cluster_.node_count());
   for (storage::NodeId n = 0; n < cluster_.node_count(); ++n) {
-    if (!active[n]) continue;
-    free_slots[n] = config_.cluster.node.task_slots;
-    node_util[n] = fg_share;
+    const bool on = active[n];
+    free_slots_[n] = on ? task_slots : 0;
+    node_util_[n] = on ? fg_share : 0.0;
   }
 
   std::vector<std::size_t> running;
@@ -462,7 +463,7 @@ std::vector<std::size_t> SimulationEngine::assign_tasks(
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     PendingTask& p = pending_[i];
     const bool urgent = p.urgent(now, slot_len);
-    const bool wanted = chosen.count(p.task.id) > 0;
+    const bool wanted = run_set_.contains(p.task.id);
     if (!wanted && !urgent) {
       if (p.running) p.running = false;  // suspended by the policy
       continue;
@@ -476,13 +477,13 @@ std::vector<std::size_t> SimulationEngine::assign_tasks(
       double best_util = 1e18;
       for (storage::NodeId n :
            cluster_.placement().replicas(p.task.group)) {
-        if (!active[n] || free_slots[n] <= 0) continue;
-        if (node_util[n] + p.task.utilization >
+        if (!active[n] || free_slots_[n] <= 0) continue;
+        if (node_util_[n] + p.task.utilization >
             config_.max_utilization_per_node)
           continue;
         if (n == p.assigned_node && p.running) return n;  // sticky
-        if (node_util[n] < best_util) {
-          best_util = node_util[n];
+        if (node_util_[n] < best_util) {
+          best_util = node_util_[n];
           best = n;
         }
       }
@@ -496,8 +497,8 @@ std::vector<std::size_t> SimulationEngine::assign_tasks(
       const storage::NodeId woken = power_.wake_sleeping_replica(
           p.task.group, now, slots_.slot_of(now));
       if (woken != storage::kInvalidNode) {
-        free_slots[woken] = config_.cluster.node.task_slots;
-        node_util[woken] = fg_share;
+        free_slots_[woken] = task_slots;
+        node_util_[woken] = fg_share;
         best = find_candidate();
       }
     }
@@ -512,8 +513,8 @@ std::vector<std::size_t> SimulationEngine::assign_tasks(
     }
     p.assigned_node = best;
     p.running = true;
-    --free_slots[best];
-    node_util[best] += p.task.utilization;
+    --free_slots_[best];
+    node_util_[best] += p.task.utilization;
     running.push_back(i);
   }
   return running;

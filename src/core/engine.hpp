@@ -35,6 +35,7 @@
 #include "storage/cluster.hpp"
 #include "storage/router.hpp"
 #include "util/assert.hpp"
+#include "util/id_set.hpp"
 #include "workload/generator.hpp"
 
 namespace gm::core {
@@ -199,6 +200,11 @@ class SimulationEngine {
   SlotGrid slots_;
   /// Rolling per-slot observation buffer (see make_context).
   SlotContext ctx_;
+  /// assign_tasks scratch, refilled every slot: the policy's run set
+  /// and each node's free task slots and utilization.
+  IdSet run_set_;
+  std::vector<int> free_slots_;
+  std::vector<double> node_util_;
 
   // Pending pool and task bookkeeping.
   std::vector<PendingTask> pending_;

@@ -924,13 +924,15 @@ SlotDecision GreenMatchPolicy::plan_sharded(const SlotContext& ctx) {
   // order, recompute the node target on the fleet-level facts, and
   // only eco-speed when every shard wants to.
   SlotDecision decision;
-  merge_run_set_.clear();
+  std::size_t shard_runs = 0;
+  for (const auto& d : decisions) shard_runs += d.run_tasks.size();
+  merge_run_set_.reset(shard_runs);
   for (const auto& d : decisions)
     for (const auto id : d.run_tasks) merge_run_set_.insert(id);
   double util = ctx.foreground_util;
   int count = 0;
   for (const auto& p : ctx.pending) {
-    if (merge_run_set_.count(p.task.id)) {
+    if (merge_run_set_.contains(p.task.id)) {
       decision.run_tasks.push_back(p.task.id);
       util += p.task.utilization;
       ++count;

@@ -6,10 +6,10 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/mincost_flow.hpp"
 #include "core/policy.hpp"
+#include "util/id_set.hpp"
 #include "util/rng.hpp"
 
 namespace gm {
@@ -278,7 +278,7 @@ class GreenMatchPolicy final : public SchedulerPolicy {
   std::vector<std::unique_ptr<GreenMatchPolicy>> shard_planners_;
   std::unique_ptr<ThreadPool> pool_;
   std::uint64_t reconciliation_solves_ = 0;
-  std::unordered_set<storage::TaskId> merge_run_set_;  // merge scratch
+  IdSet merge_run_set_;  // merge scratch
 
   // Per-plan supply readback (filled by plan_flow, O(horizon)):
   // unclaimed green headroom and grid draw per horizon slot, consumed

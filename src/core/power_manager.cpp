@@ -162,7 +162,7 @@ PowerManager::Transition PowerManager::apply_target(SlotIndex slot,
 SimTime PowerManager::force_wake_for_group(storage::GroupId group,
                                            SimTime now, SlotIndex slot) {
   GM_OBS_SCOPE("power.force_wake");
-  const auto& replicas = cluster_.placement().replicas(group);
+  const auto replicas = cluster_.placement().replicas(group);
   GM_CHECK(!replicas.empty(), "group without replicas: " << group);
   // Prefer an already-waking replica, else the first (primary).
   for (storage::NodeId n : replicas)

@@ -93,7 +93,7 @@ ActiveSet Cluster::choose_active_set(
   for (std::size_t i = nodes_.size(); i-- > 0 && count > target;) {
     const NodeId id = nodes_[i].id();
     if (!active[id]) continue;
-    const auto& groups = placement_.groups_on(id);
+    const auto groups = placement_.groups_on(id);
     const bool removable =
         std::all_of(groups.begin(), groups.end(),
                     [&](GroupId g) { return group_active[g] >= 2; });

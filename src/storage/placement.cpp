@@ -23,9 +23,6 @@ PlacementMap::PlacementMap(const PlacementConfig& config,
   config_.validate();
   GM_CHECK(!nodes_.empty(), "placement over an empty cluster");
 
-  group_replicas_.resize(config_.group_count);
-  node_groups_.resize(nodes_.size());
-
   // Per-group data volumes (lognormal around the configured mean).
   group_bytes_.resize(config_.group_count);
   Rng data_rng(config_.seed ^ 0xda7aULL);
@@ -80,11 +77,13 @@ PlacementMap::PlacementMap(const PlacementConfig& config,
 
   // Groups are independent, so contiguous blocks of them run on the
   // pool, each with its own `best` buffer and writing only its own
-  // groups' replica lists. A block hashes ≈2²¹ nodes (≈7 ms), so a
-  // build smaller than that stays on the calling thread, where
-  // starting the pool would cost about what it saves.
+  // groups' slice of the replica table. A block hashes ≈2²¹ nodes
+  // (≈7 ms), so a build smaller than that stays on the calling thread,
+  // where starting the pool would cost about what it saves.
   constexpr std::size_t kHashesPerBlock = std::size_t{1} << 21;
   const std::size_t group_count = config_.group_count;
+  replicas_per_group_ = take;
+  replicas_.resize(group_count * take);
   const std::size_t block =
       std::max<std::size_t>(1, kHashesPerBlock / nodes_.size());
   parallel_for((group_count + block - 1) / block, [&](std::size_t b) {
@@ -102,16 +101,23 @@ PlacementMap::PlacementMap(const PlacementConfig& config,
       std::partial_sort(best.begin(),
                         best.begin() + static_cast<std::ptrdiff_t>(take),
                         best.end(), better);
-      auto& replicas = group_replicas_[g];
-      for (std::size_t k = 0; k < take; ++k)
-        replicas.push_back(best[k].node);
+      NodeId* out = replicas_.data() + g * take;
+      for (std::size_t k = 0; k < take; ++k) out[k] = best[k].node;
     }
   });
 
   // Inverted in group order, so every node's list is ascending.
+  node_group_offsets_.assign(nodes_.size() + 1, 0);
+  for (NodeId node : replicas_)
+    ++node_group_offsets_[id_to_index_[node] + 1];
+  for (std::size_t i = 0; i < nodes_.size(); ++i)
+    node_group_offsets_[i + 1] += node_group_offsets_[i];
+  node_groups_.resize(replicas_.size());
+  std::vector<std::size_t> cursor(node_group_offsets_.begin(),
+                                  node_group_offsets_.end() - 1);
   for (GroupId g = 0; g < config_.group_count; ++g)
-    for (NodeId node : group_replicas_[g])
-      node_groups_[id_to_index_[node]].push_back(g);
+    for (NodeId node : replicas(g))
+      node_groups_[cursor[id_to_index_[node]]++] = g;
 }
 
 std::uint32_t shard_of_group(GroupId group, std::uint32_t shard_count) {
@@ -128,10 +134,10 @@ GroupId PlacementMap::group_of(ObjectId object) const {
                               config_.group_count);
 }
 
-const std::vector<NodeId>& PlacementMap::replicas(GroupId group) const {
-  GM_CHECK(group < group_replicas_.size(),
-           "group out of range: " << group);
-  return group_replicas_[group];
+std::span<const NodeId> PlacementMap::replicas(GroupId group) const {
+  GM_CHECK(group < config_.group_count, "group out of range: " << group);
+  return {replicas_.data() + group * replicas_per_group_,
+          replicas_per_group_};
 }
 
 std::size_t PlacementMap::index_of(NodeId node) const {
@@ -140,8 +146,10 @@ std::size_t PlacementMap::index_of(NodeId node) const {
   return id_to_index_[node];
 }
 
-const std::vector<GroupId>& PlacementMap::groups_on(NodeId node) const {
-  return node_groups_[index_of(node)];
+std::span<const GroupId> PlacementMap::groups_on(NodeId node) const {
+  const std::size_t i = index_of(node);
+  return {node_groups_.data() + node_group_offsets_[i],
+          node_group_offsets_[i + 1] - node_group_offsets_[i]};
 }
 
 double PlacementMap::group_bytes(GroupId group) const {
@@ -151,15 +159,14 @@ double PlacementMap::group_bytes(GroupId group) const {
 
 double PlacementMap::node_bytes(NodeId node) const {
   double total = 0.0;
-  for (GroupId g : node_groups_[index_of(node)]) total += group_bytes_[g];
+  for (GroupId g : groups_on(node)) total += group_bytes_[g];
   return total;
 }
 
 double PlacementMap::total_physical_bytes() const {
   double total = 0.0;
   for (GroupId g = 0; g < config_.group_count; ++g)
-    total += group_bytes_[g] *
-             static_cast<double>(group_replicas_[g].size());
+    total += group_bytes_[g] * static_cast<double>(replicas_per_group_);
   return total;
 }
 

@@ -7,6 +7,7 @@
 // the rebalance workload rely on.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "storage/types.hpp"
@@ -49,10 +50,11 @@ class PlacementMap {
   GroupId group_of(ObjectId object) const;
 
   /// Replica nodes of a group, in descending placement preference.
-  const std::vector<NodeId>& replicas(GroupId group) const;
+  /// Every group has the same count, min(replication, node count).
+  std::span<const NodeId> replicas(GroupId group) const;
 
-  /// All groups having a replica on `node`.
-  const std::vector<GroupId>& groups_on(NodeId node) const;
+  /// All groups having a replica on `node`, ascending.
+  std::span<const GroupId> groups_on(NodeId node) const;
 
   /// Data volume of a group (one replica's worth).
   double group_bytes(GroupId group) const;
@@ -69,8 +71,15 @@ class PlacementMap {
 
   PlacementConfig config_;
   std::vector<NodeDescriptor> nodes_;
-  std::vector<std::vector<NodeId>> group_replicas_;
-  std::vector<std::vector<GroupId>> node_groups_;
+  /// Replicas per group; every group's list has this length.
+  std::size_t replicas_per_group_ = 0;
+  /// Group-major: group g's replicas are
+  /// [g * replicas_per_group_, (g + 1) * replicas_per_group_).
+  std::vector<NodeId> replicas_;
+  /// node → groups in CSR form: the groups on the node at index i are
+  /// node_groups_[node_group_offsets_[i], node_group_offsets_[i + 1]).
+  std::vector<std::size_t> node_group_offsets_;
+  std::vector<GroupId> node_groups_;
   std::vector<double> group_bytes_;
   std::vector<std::size_t> id_to_index_;  ///< dense NodeId → index
 };

@@ -16,6 +16,7 @@
 #include "core/admission.hpp"
 #include "core/config_io.hpp"
 #include "core/engine.hpp"
+#include "obs/recorder.hpp"
 #include "util/config_kv.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
@@ -158,6 +159,9 @@ BackgroundTask arrival(Seconds work_s, SimTime release,
 }
 
 TEST(AdmissionController, AdmitDeferRejectVocabulary) {
+  // decide() times itself only while a recorder is installed.
+  obs::Recorder recorder{obs::RecorderConfig{}};
+  obs::ScopedRecorder install(&recorder);
   AdmissionConfig cfg;
   cfg.horizon_slots = 4;
   cfg.overflow = AdmissionOverflow::kReject;
@@ -290,6 +294,89 @@ TEST(AdmissionController, RebuildCommitmentsReservesForPendingWork) {
   EXPECT_NEAR(ctrl.headroom_j(0), 5.0e5 - 1.8e5, 1.0);
 }
 
+// The ring loop rebuild_commitments ran before it accumulated
+// base-relative: each task's share added slot by slot straight into
+// the ring (absolute slot modulo horizon). The oracle for its ledger.
+std::vector<Joules> reference_commitments(
+    const AdmissionController& ctrl, const std::vector<PendingTask>& pending,
+    Seconds slot_length_s) {
+  const int horizon = ctrl.horizon_slots();
+  const SlotIndex base = ctrl.base_slot();
+  std::vector<Joules> ring(static_cast<std::size_t>(horizon), 0.0);
+  const SlotIndex last_visible = base + horizon - 1;
+  for (const PendingTask& p : pending) {
+    const Joules need = ctrl.task_energy_j(p.task.utilization, p.remaining_s);
+    if (need <= 0.0) continue;
+    SlotIndex last = static_cast<SlotIndex>(
+        p.task.deadline / static_cast<SimTime>(slot_length_s));
+    last = std::min(std::max(last, base), last_visible);
+    const SlotIndex width = last - base + 1;
+    const Joules share = need / static_cast<double>(width);
+    for (SlotIndex s = base; s <= last; ++s)
+      ring[static_cast<std::size_t>(s % horizon)] += share;
+  }
+  return ring;
+}
+
+// Seeded pools of overdue, in-window, beyond-horizon and zero-work
+// tasks, rebuilt on base slots that wrap the ring, with admissions in
+// between that the next rebuild must overwrite: `committed` and
+// `headroom_j` equal the ring loop's bit for bit.
+TEST(AdmissionController, RebuildCommitmentsMatchesRingLoop) {
+  const auto supply = [](SlotIndex s) {
+    return 1.0e5 + 3.7e4 * static_cast<double>((s * 7919) % 13);
+  };
+  const auto baseline = [](SlotIndex s) {
+    return 2.0e4 * static_cast<double>((s * 104729) % 5);
+  };
+  const AdmissionController::Facts facts = test_facts();
+  for (const int horizon : {1, 5, 24}) {
+    AdmissionConfig cfg;
+    cfg.horizon_slots = horizon;
+    AdmissionController ctrl(cfg, facts, supply, baseline);
+    Rng rng(static_cast<std::uint64_t>(horizon) * 31 + 3);
+    for (const SlotIndex base : {SlotIndex{0}, SlotIndex{3}, SlotIndex{7},
+                                 SlotIndex{26}, SlotIndex{61}}) {
+      ctrl.begin_slot(base, 0.0);
+      const auto base_t = static_cast<SimTime>(base) * 3600;
+      std::vector<PendingTask> pool(200);
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        PendingTask& p = pool[i];
+        p.task.id = ArrivalStream::kFirstTaskId + i;
+        p.task.utilization = 0.05 + 0.9 * rng.uniform();
+        // Deadlines from 30 h overdue to 40 h past the base.
+        p.task.deadline =
+            std::max<SimTime>(0, base_t - 30 * 3600 +
+                                     static_cast<SimTime>(
+                                         rng.uniform() * 70 * 3600));
+        switch (i % 5) {
+          case 0: p.remaining_s = 0.0; break;  // finished work
+          case 1: p.task.utilization = 0.0; [[fallthrough]];
+          default: p.remaining_s = 60.0 + rng.uniform() * 20000.0;
+        }
+      }
+      ctrl.rebuild_commitments(pool, base_t);
+      // Admissions book energy on top of the rebuilt ledger...
+      for (int k = 0; k < 3; ++k)
+        ctrl.decide(arrival(1800.0, base_t, 4.0 * 3600.0), base_t);
+      // ...and the next reconciliation replaces it all.
+      ctrl.rebuild_commitments(pool, base_t);
+      const auto ring = reference_commitments(ctrl, pool, 3600.0);
+      for (SlotIndex s = base; s < base + horizon; ++s) {
+        const Joules committed = ring[static_cast<std::size_t>(s % horizon)];
+        ASSERT_EQ(ctrl.committed_j(s), committed)
+            << "horizon " << horizon << " base " << base << " slot " << s;
+        const Joules headroom = std::max(
+            0.0, std::max(0.0, supply(s) - baseline(s)) - committed);
+        ASSERT_EQ(ctrl.headroom_j(s), headroom)
+            << "horizon " << horizon << " base " << base << " slot " << s;
+      }
+      EXPECT_EQ(ctrl.committed_j(base - 1), 0.0);
+      EXPECT_EQ(ctrl.committed_j(base + horizon), 0.0);
+    }
+  }
+}
+
 // --- engine-level tests ----------------------------------------------
 
 ExperimentConfig open_config(double rate_per_h = 60.0) {
@@ -380,7 +467,8 @@ TEST(OpenSystemEngine, ZeroSolverInvocationsOnArrivalPath) {
 
 TEST(OpenSystemEngine, DecisionLatencyTelemetryIsRecorded) {
   ExperimentConfig config = open_config(200.0);
-  SimulationEngine engine(config);
+  SimulationEngine engine(
+      config, std::make_shared<obs::Recorder>(obs::RecorderConfig{}));
   const auto artifacts = engine.run();
   ASSERT_NE(engine.admission(), nullptr);
   const auto& s = artifacts.result.scheduler;
@@ -390,6 +478,41 @@ TEST(OpenSystemEngine, DecisionLatencyTelemetryIsRecorded) {
   EXPECT_GE(s.admission_decision_p99_us, s.admission_decision_p50_us);
   // The fast-path contract: p99 well under 50 us per decision.
   EXPECT_LT(s.admission_decision_p99_us, 50.0);
+}
+
+// Without a recorder decide() reads no clock: the decisions and the
+// ledger are the same as with one, and the latency histogram and the
+// wall total stay empty.
+TEST(OpenSystemEngine, DecisionTelemetryNeedsARecorder) {
+  const ExperimentConfig config = open_config(200.0);
+  SimulationEngine plain(config);
+  SimulationEngine timed(
+      config, std::make_shared<obs::Recorder>(obs::RecorderConfig{}));
+  const auto a = plain.run();
+  const auto b = timed.run();
+
+  const auto& qa = a.result.qos;
+  const auto& qb = b.result.qos;
+  ASSERT_GT(qa.admission_decisions, 1000u);
+  EXPECT_EQ(qa.admission_decisions, qb.admission_decisions);
+  EXPECT_EQ(qa.arrivals_admitted, qb.arrivals_admitted);
+  EXPECT_EQ(qa.arrivals_rejected, qb.arrivals_rejected);
+  EXPECT_EQ(qa.admission_deferrals, qb.admission_deferrals);
+  EXPECT_EQ(qa.arrivals_overflow_admits, qb.arrivals_overflow_admits);
+  EXPECT_EQ(qa.tasks_completed, qb.tasks_completed);
+  EXPECT_EQ(a.result.energy.brown_j, b.result.energy.brown_j);
+  const auto& sa = a.ledger.slots();
+  const auto& sb = b.ledger.slots();
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i)
+    ASSERT_EQ(sa[i].demand_j, sb[i].demand_j) << "slot " << i;
+
+  EXPECT_EQ(plain.admission()->latency_us().count(), 0u);
+  EXPECT_EQ(plain.admission()->stats().decision_wall_ms, 0.0);
+  EXPECT_EQ(a.result.scheduler.admission_decision_wall_ms, 0.0);
+  EXPECT_EQ(a.result.scheduler.admission_decision_p99_us, 0.0);
+  EXPECT_EQ(timed.admission()->latency_us().count(), qb.admission_decisions);
+  EXPECT_GT(b.result.scheduler.admission_decision_wall_ms, 0.0);
 }
 
 TEST(OpenSystemEngine, RunsAreDeterministicAndSeedSensitive) {

@@ -3,12 +3,17 @@
 // layer carriers (GridEvent multipliers, ModulatedSource), engine
 // integration (a generated failure week passes every audit check), and
 // the step/observe/act interface's bit-identity with the legacy slot
-// loop.
+// loop and its set semantics for the policy's run ids.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "audit/audit.hpp"
 #include "core/engine.hpp"
@@ -343,6 +348,72 @@ TEST(ScenarioEngine, ObserveActMatchesRunBitExactly) {
   EXPECT_EQ(want.result.scheduler.nodes_failed,
             got.result.scheduler.nodes_failed);
   EXPECT_EQ(want.result.grid_carbon_g, got.result.grid_carbon_g);
+}
+
+// act() treats the policy's run_tasks as a set: reversing it, listing
+// every id twice or adding ids no pending task has changes nothing.
+// The week has failures (repair tasks from 2e9) and arrivals (from 3e9),
+// so the set holds ids from every range the engine mints.
+TEST(ScenarioEngine, ActTreatsRunTasksAsASet) {
+  core::ExperimentConfig config = scenario_config();
+  config.arrivals.enabled = true;
+  config.arrivals.rate_per_h = 40.0;
+  using Edit = void (*)(std::vector<storage::TaskId>&);
+  const auto run_with = [&](Edit edit) {
+    core::SimulationEngine engine(config);
+    auto agent = core::make_policy(config.policy);
+    agent->initialize(engine.facts());
+    for (SlotIndex slot = 0; slot < engine.total_slots(); ++slot) {
+      core::SlotDecision decision = agent->decide(engine.observe(slot));
+      edit(decision.run_tasks);
+      engine.act(slot, decision);
+    }
+    return engine.finalize();
+  };
+  const core::RunArtifacts want =
+      run_with([](std::vector<storage::TaskId>&) {});
+  ASSERT_GT(want.result.scheduler.nodes_failed, 0u);
+  ASSERT_GT(want.result.qos.arrivals_admitted, 0u);
+
+  const Edit edits[] = {
+      [](std::vector<storage::TaskId>& ids) {
+        std::reverse(ids.begin(), ids.end());
+      },
+      [](std::vector<storage::TaskId>& ids) {
+        const std::size_t n = ids.size();
+        for (std::size_t i = n; i-- > 0;) ids.push_back(ids[i]);
+      },
+      [](std::vector<storage::TaskId>& ids) {
+        ids.insert(ids.begin(), 999'999'999'999ULL);
+        ids.push_back(~std::uint64_t{0} - 1);
+      },
+  };
+  for (std::size_t e = 0; e < std::size(edits); ++e) {
+    SCOPED_TRACE("edit " + std::to_string(e));
+    const core::RunArtifacts got = run_with(edits[e]);
+    const auto& ws = want.ledger.slots();
+    const auto& gs = got.ledger.slots();
+    ASSERT_EQ(ws.size(), gs.size());
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+      ASSERT_EQ(ws[i].demand_j, gs[i].demand_j) << "slot " << i;
+      ASSERT_EQ(ws[i].brown_j, gs[i].brown_j) << "slot " << i;
+      ASSERT_EQ(ws[i].battery_stored_end_j, gs[i].battery_stored_end_j)
+          << "slot " << i;
+    }
+    EXPECT_EQ(want.active_nodes_per_slot, got.active_nodes_per_slot);
+    const auto& w = want.result.scheduler;
+    const auto& g = got.result.scheduler;
+    EXPECT_EQ(w.task_migrations, g.task_migrations);
+    EXPECT_EQ(w.forced_urgent_runs, g.forced_urgent_runs);
+    EXPECT_EQ(w.assignment_failures, g.assignment_failures);
+    EXPECT_EQ(w.node_power_ons, g.node_power_ons);
+    EXPECT_EQ(w.node_power_offs, g.node_power_offs);
+    EXPECT_EQ(w.forced_wakeups, g.forced_wakeups);
+    EXPECT_EQ(want.result.qos.tasks_completed, got.result.qos.tasks_completed);
+    EXPECT_EQ(want.result.qos.deadline_misses, got.result.qos.deadline_misses);
+    EXPECT_EQ(want.result.qos.arrivals_admitted,
+              got.result.qos.arrivals_admitted);
+  }
 }
 
 TEST(ScenarioEngine, ObserveActGuardsMisuse) {

@@ -1,10 +1,12 @@
 // Placement map tests: determinism, replication, rack-disjointness,
-// balance, stability under node-set changes, and agreement with the
-// sort-and-scan reference selection.
+// balance, stability under node-set changes, agreement with the
+// sort-and-scan reference selection, and node → groups lists that are
+// exactly the ascending inverse of the replica table.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <set>
 #include <unordered_set>
@@ -69,13 +71,13 @@ TEST(Placement, DeterministicPerSeed) {
   PlacementConfig c = config_with(2, 128);
   PlacementMap a(c, grid_nodes(4, 4)), b(c, grid_nodes(4, 4));
   for (GroupId g = 0; g < 128; ++g)
-    EXPECT_EQ(a.replicas(g), b.replicas(g));
+    EXPECT_TRUE(std::ranges::equal(a.replicas(g), b.replicas(g)));
 
   c.seed = 99;
   PlacementMap other(c, grid_nodes(4, 4));
   int moved = 0;
   for (GroupId g = 0; g < 128; ++g)
-    if (a.replicas(g) != other.replicas(g)) ++moved;
+    if (!std::ranges::equal(a.replicas(g), other.replicas(g))) ++moved;
   EXPECT_GT(moved, 64);  // different seed reshuffles most groups
 }
 
@@ -91,15 +93,30 @@ TEST(Placement, LoadIsBalanced) {
   EXPECT_LT(*hi, expected * 1.3);
 }
 
+// groups_on(n) must be exactly the groups whose replicas name n, in
+// ascending order: the inverse the power manager and the repair path
+// walk.
+void expect_groups_on_inverts_replicas(
+    const PlacementMap& map, const std::vector<NodeDescriptor>& nodes) {
+  for (const auto& nd : nodes) {
+    std::vector<GroupId> want;
+    for (GroupId g = 0; g < map.group_count(); ++g) {
+      const auto reps = map.replicas(g);
+      if (std::find(reps.begin(), reps.end(), nd.id) != reps.end())
+        want.push_back(g);
+    }
+    const auto got = map.groups_on(nd.id);
+    ASSERT_TRUE(std::ranges::equal(got, want)) << "node " << nd.id;
+    ASSERT_TRUE(std::ranges::adjacent_find(got, std::greater_equal<>()) ==
+                got.end())
+        << "node " << nd.id << " groups not strictly ascending";
+  }
+}
+
 TEST(Placement, GroupsOnInvertsReplicas) {
   const auto nodes = grid_nodes(3, 5);
   PlacementMap map(config_with(2, 200), nodes);
-  for (const auto& nd : nodes) {
-    for (GroupId g : map.groups_on(nd.id)) {
-      const auto& reps = map.replicas(g);
-      EXPECT_NE(std::find(reps.begin(), reps.end(), nd.id), reps.end());
-    }
-  }
+  expect_groups_on_inverts_replicas(map, nodes);
   // Total group-slots match.
   std::size_t total = 0;
   for (const auto& nd : nodes) total += map.groups_on(nd.id).size();
@@ -137,12 +154,13 @@ TEST(Placement, MinimalMovementOnNodeRemoval) {
   PlacementMap reduced(c, fewer);
 
   for (GroupId g = 0; g < 512; ++g) {
-    const auto& before = full.replicas(g);
-    const auto& after = reduced.replicas(g);
+    const auto before = full.replicas(g);
+    const auto after = reduced.replicas(g);
     const bool touched =
         std::find(before.begin(), before.end(), removed) != before.end();
     if (!touched) {
-      EXPECT_EQ(before, after) << "untouched group " << g << " moved";
+      EXPECT_TRUE(std::ranges::equal(before, after))
+          << "untouched group " << g << " moved";
     } else {
       // The surviving replica keeps its slot.
       for (NodeId n : before) {
@@ -204,8 +222,10 @@ void expect_matches_reference(const PlacementConfig& c,
                               const std::vector<NodeDescriptor>& nodes) {
   PlacementMap map(c, nodes);
   for (GroupId g = 0; g < c.group_count; ++g)
-    ASSERT_EQ(map.replicas(g), reference_replicas(c, nodes, g))
+    ASSERT_TRUE(std::ranges::equal(map.replicas(g),
+                                   reference_replicas(c, nodes, g)))
         << "group " << g;
+  expect_groups_on_inverts_replicas(map, nodes);
 }
 
 TEST(Placement, MatchesReferenceOnRackDisjointGrids) {
@@ -262,9 +282,11 @@ TEST(Placement, PoolWorkerBuildMatchesTestThreadBuild) {
   ThreadPool pool(1);
   parallel_for(pool, 1, [&](std::size_t) { on_worker.emplace(c, nodes); });
   for (GroupId g = 0; g < c.group_count; ++g)
-    ASSERT_EQ(on_worker->replicas(g), here.replicas(g)) << "group " << g;
+    ASSERT_TRUE(std::ranges::equal(on_worker->replicas(g), here.replicas(g)))
+        << "group " << g;
   for (const auto& n : nodes)
-    ASSERT_EQ(on_worker->groups_on(n.id), here.groups_on(n.id))
+    ASSERT_TRUE(
+        std::ranges::equal(on_worker->groups_on(n.id), here.groups_on(n.id)))
         << "node " << n.id;
 }
 

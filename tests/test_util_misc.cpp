@@ -1,11 +1,12 @@
 // Tests for CSV, tables, math helpers, units, calendar/slot time,
-// assertion machinery and the thread pool.
+// assertion machinery, the thread pool and the flat id set.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -13,6 +14,7 @@
 
 #include "util/assert.hpp"
 #include "util/csv.hpp"
+#include "util/id_set.hpp"
 #include "util/math_utils.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -407,6 +409,110 @@ TEST(ThreadPool, TransientHelper) {
     sum.fetch_add(static_cast<long>(i));
   });
   EXPECT_EQ(sum.load(), 500L * 499L / 2);
+}
+
+TEST(IdSet, InsertAndContainsAcrossIdRanges) {
+  // Generated, offload, repair and arrival ranges, and the top bit.
+  const std::vector<std::uint64_t> ids = {0, 1'000'000'000ULL,
+                                          2'000'000'000ULL,
+                                          3'000'000'000ULL,
+                                          std::uint64_t{1} << 63};
+  IdSet set;
+  set.reset(ids.size());
+  for (const std::uint64_t id : ids) {
+    EXPECT_FALSE(set.contains(id)) << id;
+    EXPECT_TRUE(set.insert(id)) << id;
+  }
+  EXPECT_EQ(set.size(), ids.size());
+  for (const std::uint64_t id : ids) EXPECT_TRUE(set.contains(id)) << id;
+  const std::vector<std::uint64_t> absent = {
+      1, 999'999'999ULL, 2'000'000'001ULL, (std::uint64_t{1} << 63) + 1,
+      IdSet::kEmpty - 1, IdSet::kEmpty};
+  for (const std::uint64_t id : absent)
+    EXPECT_FALSE(set.contains(id)) << id;
+}
+
+TEST(IdSet, DuplicatesAreHeldOnce) {
+  IdSet set;
+  set.reset(6);  // sized for the inserts, duplicates included
+  EXPECT_TRUE(set.insert(7));
+  EXPECT_TRUE(set.insert(3'000'000'000ULL));
+  EXPECT_FALSE(set.insert(7));
+  EXPECT_FALSE(set.insert(3'000'000'000ULL));
+  EXPECT_FALSE(set.insert(7));
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_TRUE(set.contains(7));
+  EXPECT_TRUE(set.contains(3'000'000'000ULL));
+}
+
+TEST(IdSet, ProbesWrapPastTheTableEnd) {
+  IdSet set;
+  set.reset(64);
+  set.reset(4);  // eight cells, in the larger allocation
+  const std::span<const std::uint64_t> cells = set.cells();
+  ASSERT_EQ(cells.size(), 8u);
+  const std::size_t last = cells.size() - 1;
+  // Five ids whose probes start at the last cell.
+  std::vector<std::uint64_t> at_end;
+  for (std::uint64_t id = 1; at_end.size() < 5; ++id)
+    if (set.home(id) == last) at_end.push_back(id);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(set.insert(at_end[i]));
+  // The first keeps its home; the rest wrap to cells 0, 1 and 2.
+  EXPECT_EQ(cells[last], at_end[0]);
+  EXPECT_EQ(cells[0], at_end[1]);
+  EXPECT_EQ(cells[1], at_end[2]);
+  EXPECT_EQ(cells[2], at_end[3]);
+  EXPECT_EQ(cells[3], IdSet::kEmpty);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(set.contains(at_end[i]));
+  // A miss homed at the end walks the wrapped run to cell 3.
+  EXPECT_FALSE(set.contains(at_end[4]));
+  EXPECT_FALSE(set.insert(at_end[2]));
+}
+
+TEST(IdSet, ResetEmptiesToASmallerOrLargerTable) {
+  IdSet set;
+  set.reset(100);
+  EXPECT_EQ(set.cells().size(), 256u);
+  for (std::uint64_t id = 1; id <= 100; ++id) set.insert(id);
+  EXPECT_EQ(set.size(), 100u);
+  const std::uint64_t* storage = set.cells().data();
+
+  set.reset(3);  // smaller: empties the table and keeps the allocation
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.cells().size(), 8u);
+  EXPECT_EQ(set.cells().data(), storage);
+  for (std::uint64_t id = 1; id <= 100; ++id)
+    ASSERT_FALSE(set.contains(id)) << id;
+  for (std::uint64_t id : {5ULL, 2'000'000'000ULL, 64ULL})
+    EXPECT_TRUE(set.insert(id));
+  EXPECT_TRUE(set.contains(2'000'000'000ULL));
+  EXPECT_FALSE(set.contains(6));
+
+  set.reset(1000);  // larger
+  EXPECT_EQ(set.cells().size(), 2048u);
+  EXPECT_FALSE(set.contains(5));
+  for (std::uint64_t k = 0; k < 1000; ++k)
+    ASSERT_TRUE(set.insert(3'000'000'000ULL + 7 * k)) << k;
+  EXPECT_EQ(set.size(), 1000u);
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    ASSERT_TRUE(set.contains(3'000'000'000ULL + 7 * k)) << k;
+    ASSERT_FALSE(set.contains(3'000'000'000ULL + 7 * k + 1)) << k;
+  }
+
+  set.reset(0);
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_FALSE(set.contains(3'000'000'000ULL));
+}
+
+TEST(IdSet, GuardsItsMarkerAndItsSize) {
+  IdSet set;
+  set.reset(2);
+  EXPECT_THROW(set.insert(IdSet::kEmpty), std::logic_error);
+  EXPECT_TRUE(set.insert(1));
+  EXPECT_TRUE(set.insert(2));
+  EXPECT_FALSE(set.insert(2));  // a duplicate needs no room
+  EXPECT_THROW(set.insert(3), std::logic_error);
+  EXPECT_FALSE(IdSet().contains(0));
 }
 
 }  // namespace
