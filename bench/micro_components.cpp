@@ -120,8 +120,7 @@ BENCHMARK(BM_GreenMatchPlanDay)->Unit(benchmark::kMillisecond);
 // regime while the planner's pool deepens with the fleet. Arg(1) is
 // the 1,280-node smoke tier the ctest suite runs; Arg(8) is the
 // 10,240-node week the PR5 acceptance numbers quote; Arg(80) is the
-// 102,400-node colossal week the PR8 incremental cost-scaling A/B
-// (BENCH_PR8.json) quotes.
+// 102,400-node colossal week.
 core::ExperimentConfig massive_fleet_config(int scale) {
   auto config = core::ExperimentConfig::canonical();
   config.cluster.racks = 16 * scale;
@@ -230,43 +229,6 @@ void BM_GreenMatchPlanWeek(benchmark::State& state) {
       plan_ms / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_GreenMatchPlanWeek)
-    ->Arg(1)
-    ->Arg(8)
-    ->Arg(80)
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-// The same scale ladder through the cost-scaling solver with
-// incremental re-optimization (PolicyConfig::cost_scaling_planner).
-// plan_ms_per_run is directly comparable against BM_GreenMatchPlanWeek
-// at the same Arg; the incremental counters show how many slot replans
-// rode the residual-graph patch path vs fell back to a cold build —
-// the PR8 sub-100ms median-slot-replan criterion is
-// plan_ms_per_run / 168 slots on this benchmark at Arg(80).
-void BM_GreenMatchPlanWeekCostScaling(benchmark::State& state) {
-  auto config = massive_fleet_config(static_cast<int>(state.range(0)));
-  config.policy.cost_scaling_planner = true;
-  gm::bench::use_shared_workload(config);
-  double plan_ms = 0.0;
-  double accepts = 0.0, rebuilds = 0.0;
-  for (auto _ : state) {
-    const auto r = core::run_experiment(config).result;
-    plan_ms += r.scheduler.plan_solve_ms_total;
-    accepts +=
-        static_cast<double>(r.scheduler.solver_incremental_accepts);
-    rebuilds +=
-        static_cast<double>(r.scheduler.solver_incremental_rebuilds);
-    benchmark::DoNotOptimize(r.scheduler.plan_solve_ms_total);
-  }
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["plan_ms_per_run"] =
-      benchmark::Counter(plan_ms / iters);
-  state.counters["incremental_accepts_per_run"] =
-      benchmark::Counter(accepts / iters);
-  state.counters["incremental_rebuilds_per_run"] =
-      benchmark::Counter(rebuilds / iters);
-}
-BENCHMARK(BM_GreenMatchPlanWeekCostScaling)
     ->Arg(1)
     ->Arg(8)
     ->Arg(80)

@@ -1003,13 +1003,6 @@ RunArtifacts SimulationEngine::finalize() {
     r.scheduler.solver_augmenting_paths = totals.augmenting_paths;
     r.scheduler.solver_zero_paths = totals.zero_paths;
     r.scheduler.solver_arena_bytes_peak = totals.arena_bytes_peak;
-    r.scheduler.solver_cs_phases = totals.cs_phases;
-    r.scheduler.solver_cs_pushes = totals.cs_pushes;
-    r.scheduler.solver_cs_relabels = totals.cs_relabels;
-    r.scheduler.solver_cs_price_refinements = totals.cs_price_refinements;
-    r.scheduler.solver_cs_global_updates = totals.cs_global_updates;
-    r.scheduler.solver_incremental_accepts = totals.incremental_accepts;
-    r.scheduler.solver_incremental_rebuilds = totals.incremental_rebuilds;
     if (gm->shards() > 1) {
       r.scheduler.planner_shards =
           static_cast<std::uint64_t>(gm->shards());
@@ -1061,21 +1054,6 @@ RunArtifacts SimulationEngine::finalize() {
       m.counter_set("planner.augmenting_paths",
                     r.scheduler.solver_augmenting_paths);
       m.counter_set("planner.zero_paths", r.scheduler.solver_zero_paths);
-      // Cost-scaling / incremental counters (zero under the default
-      // SSP solver, emitted unconditionally so dashboards can key on
-      // them without probing which solver ran).
-      m.counter_set("planner.cs_phases", r.scheduler.solver_cs_phases);
-      m.counter_set("planner.cs_pushes", r.scheduler.solver_cs_pushes);
-      m.counter_set("planner.cs_relabels",
-                    r.scheduler.solver_cs_relabels);
-      m.counter_set("planner.cs_price_refinements",
-                    r.scheduler.solver_cs_price_refinements);
-      m.counter_set("planner.cs_global_updates",
-                    r.scheduler.solver_cs_global_updates);
-      m.counter_set("planner.incremental_accepts",
-                    r.scheduler.solver_incremental_accepts);
-      m.counter_set("planner.incremental_rebuilds",
-                    r.scheduler.solver_incremental_rebuilds);
       m.gauge_set("planner.arena_bytes_peak",
                   static_cast<double>(
                       r.scheduler.solver_arena_bytes_peak));

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <climits>
 #include <cmath>
@@ -95,16 +94,6 @@ GreenMatchPolicy::GreenMatchPolicy(int horizon_slots, bool greedy,
 // Out of line for the forward-declared ThreadPool member.
 GreenMatchPolicy::~GreenMatchPolicy() = default;
 
-void GreenMatchPolicy::set_solver(MinCostFlow::SolverKind kind) {
-  flow_.set_solver(kind);
-  // Johnson warm potentials belong to the SSP path; drop any retained
-  // ones so a later switch back starts from a clean cold solve.
-  have_potentials_ = false;
-  // Sub-planners inherit the solver at creation; a later switch must
-  // rebuild them (their retained solver state is now the wrong kind).
-  shard_planners_.clear();
-}
-
 void GreenMatchPolicy::set_shards(int shards) {
   GM_CHECK(shards >= 1, "scheduler.shards must be >= 1");
   shards_ = shards;
@@ -122,8 +111,6 @@ void GreenMatchPolicy::ensure_shard_planners() {
           carbon_aware_);
       sub->aggregate_ = aggregate_;
       sub->shard_id_ = s;
-      if (flow_.solver() == MinCostFlow::SolverKind::kCostScaling)
-        sub->flow_.set_solver(MinCostFlow::SolverKind::kCostScaling);
       shard_planners_.push_back(std::move(sub));
     }
   }
@@ -144,13 +131,6 @@ GreenMatchPolicy::SolverTotals GreenMatchPolicy::solver_totals() const {
     t.augmenting_paths += s.augmenting_paths;
     t.zero_paths += s.zero_paths;
     t.arena_bytes_peak = std::max(t.arena_bytes_peak, s.arena_bytes_peak);
-    t.cs_phases += s.cs_phases;
-    t.cs_pushes += s.cs_pushes;
-    t.cs_relabels += s.cs_relabels;
-    t.cs_price_refinements += s.cs_price_refinements;
-    t.cs_global_updates += s.cs_global_updates;
-    t.incremental_accepts += s.incremental_accepts;
-    t.incremental_rebuilds += s.incremental_rebuilds;
   }
   return t;
 }
@@ -398,23 +378,8 @@ SlotDecision GreenMatchPolicy::plan_flow(const SlotContext& ctx) {
         static_cast<std::uint32_t>(i));
   }
   const int n_classes = static_cast<int>(classes_.size());
-  const bool cost_scaling =
-      flow_.solver() == MinCostFlow::SolverKind::kCostScaling;
-
-  // Node layout. Under the cost-scaling solver the class range is
-  // padded to a stable bucket (min 64, then powers of two): the
-  // slot/green/battery/sink node indices then survive the slot-to-slot
-  // jitter in the number of distinct signatures, which is what lets
-  // the solver's incremental patch match arcs by endpoint instead of
-  // rebuilding cold every slot. Padded nodes carry no arcs, and the
-  // default SSP network is byte-identical to previous releases.
-  const int class_space =
-      cost_scaling
-          ? static_cast<int>(std::bit_ceil(
-                std::max<unsigned>(64u, static_cast<unsigned>(n_classes))))
-          : n_classes;
   const int source = 0;
-  const int slot_base = class_space + 1;
+  const int slot_base = n_classes + 1;
   const int g_base = slot_base + h;
   const int b_base = g_base + h;            // B_0 .. B_h (h+1 nodes)
   const int beyond = b_base + (battery ? h + 1 : 0);
@@ -505,13 +470,10 @@ SlotDecision GreenMatchPolicy::plan_flow(const SlotContext& ctx) {
 
   // The battery chain's capacities depend on the projected state of
   // charge, which the shifted-potential construction cannot bound, so
-  // warm starts are limited to the (default) supply-only network. The
-  // cost-scaling solver replaces warm potentials wholesale with
-  // incremental re-optimization (it retains prices *and* flow inside
-  // the solver), so the Johnson-potential path is skipped entirely.
+  // warm starts are limited to the (default) supply-only network.
   MinCostFlow::Result solved;
   bool warm = false;
-  if (!battery && !cost_scaling &&
+  if (!battery &&
       build_warm_potentials(ctx, n_classes, h, slot_base, g_base,
                             beyond, sink)) {
     const auto accepts_before = flow.warm_accepts();
@@ -520,7 +482,7 @@ SlotDecision GreenMatchPolicy::plan_flow(const SlotContext& ctx) {
   } else {
     solved = flow.solve(source, sink, total_units);
   }
-  if (battery || cost_scaling)
+  if (battery)
     have_potentials_ = false;
   else
     store_potentials(ctx, h, slot_base, g_base, beyond, sink);
@@ -536,13 +498,6 @@ SlotDecision GreenMatchPolicy::plan_flow(const SlotContext& ctx) {
     solver_totals_.dijkstra_relaxations += st.dijkstra_relaxations;
     solver_totals_.augmenting_paths += st.augmenting_paths;
     solver_totals_.zero_paths += st.zero_paths;
-    solver_totals_.cs_phases += st.cs_phases;
-    solver_totals_.cs_pushes += st.cs_pushes;
-    solver_totals_.cs_relabels += st.cs_relabels;
-    solver_totals_.cs_price_refinements += st.cs_price_refinements;
-    solver_totals_.cs_global_updates += st.cs_global_updates;
-    solver_totals_.incremental_accepts += st.incremental_accepts;
-    solver_totals_.incremental_rebuilds += st.incremental_rebuilds;
     solver_totals_.arena_bytes_peak =
         std::max(solver_totals_.arena_bytes_peak, st.arena_bytes);
   }
@@ -604,8 +559,7 @@ SlotDecision GreenMatchPolicy::plan_flow(const SlotContext& ctx) {
                           static_cast<int>(n_tasks),
                           n_classes,
                           sink + 1,
-                          warm,
-                          flow_.last_stats().incremental_accepts > 0};
+                          warm};
 
   // Supply readback for the parent planner's cross-shard
   // reconciliation pass: per-slot green headroom the solve left on the
@@ -944,7 +898,7 @@ SlotDecision GreenMatchPolicy::plan_sharded(const SlotContext& ctx) {
     decision.eco_speed = decision.eco_speed && d.eco_speed;
 
   // Fleet-level view of the last plan: field sums over the shards'
-  // most recent solves (warm/incremental if any shard was).
+  // most recent solves (warm if any shard was).
   PlanStats merged;
   for (const auto& sub : shard_planners_) {
     const PlanStats& ps = sub->plan_stats_;
@@ -954,7 +908,6 @@ SlotDecision GreenMatchPolicy::plan_sharded(const SlotContext& ctx) {
     merged.classes += ps.classes;
     merged.network_nodes += ps.network_nodes;
     merged.warm_start = merged.warm_start || ps.warm_start;
-    merged.incremental = merged.incremental || ps.incremental;
   }
   plan_stats_ = merged;
 

@@ -26,7 +26,7 @@ int MinCostFlow::add_edge(NodeIdx from, NodeIdx to, long long capacity,
            "flow edge endpoint out of range: " << from << " -> " << to);
   GM_CHECK(capacity >= 0, "negative edge capacity");
   GM_CHECK(cost >= 0, "SSP requires non-negative edge costs, got " << cost);
-  edges_.push_back(CostScalingCore::ExtArc{from, to, capacity, cost});
+  edges_.push_back(Edge{from, to, capacity, cost});
   laid_out_ = false;
   return static_cast<int>(edges_.size()) - 1;
 }
@@ -84,7 +84,6 @@ std::uint64_t MinCostFlow::arena_bytes() const {
   bytes += pop_index_.capacity() * sizeof(int);
   bytes += disc_pop_.capacity() * sizeof(int);
   bytes += frontier_.capacity() * sizeof(std::uint64_t);
-  bytes += scaling_.bytes();
   return bytes;
 }
 
@@ -98,50 +97,37 @@ void MinCostFlow::begin_stats(bool warm) {
 
 MinCostFlow::Result MinCostFlow::solve(NodeIdx s, NodeIdx t,
                                        long long max_flow) {
-  GM_OBS_SCOPE("planner.mincostflow.solve");
-  GM_CHECK(s >= 0 && s < node_count() && t >= 0 && t < node_count(),
-           "flow terminal out of range");
-  GM_CHECK(s != t, "source equals sink");
-  if (!laid_out_) lay_out();
-  if (solver_ == SolverKind::kCostScaling) {
-    begin_stats(/*warm=*/false);
-    return run_cost_scaling(s, t, max_flow);
-  }
-  potential_.assign(static_cast<std::size_t>(node_count_), 0);  // costs >= 0
-  begin_stats(/*warm=*/false);
-  return run_ssp(s, t, max_flow);
+  return solve_from(s, t, max_flow, nullptr);
 }
 
 MinCostFlow::Result MinCostFlow::solve(
     NodeIdx s, NodeIdx t, long long max_flow,
     const std::vector<long long>& warm_potentials) {
+  return solve_from(s, t, max_flow, &warm_potentials);
+}
+
+MinCostFlow::Result MinCostFlow::solve_from(
+    NodeIdx s, NodeIdx t, long long max_flow,
+    const std::vector<long long>* warm) {
   GM_OBS_SCOPE("planner.mincostflow.solve");
   GM_CHECK(s >= 0 && s < node_count() && t >= 0 && t < node_count(),
            "flow terminal out of range");
   GM_CHECK(s != t, "source equals sink");
   if (!laid_out_) lay_out();
-  if (solver_ == SolverKind::kCostScaling) {
-    // Johnson potentials are an SSP concept; the cost-scaling path
-    // retains its own prices across solves (incremental
-    // re-optimization), so the seed is ignored without touching the
-    // warm-start counters.
-    begin_stats(/*warm=*/false);
-    return run_cost_scaling(s, t, max_flow);
-  }
   // The seam of the warm start: the invariant every search below
   // relies on is checked here, once, over the whole residual network.
   // A stale seed (network changed shape, costs moved) degrades to the
   // always-valid cold start instead of corrupting the solve.
-  bool warm = false;
-  if (potentials_valid(warm_potentials)) {
-    potential_ = warm_potentials;
+  const bool accepted = warm != nullptr && potentials_valid(*warm);
+  if (accepted) {
+    potential_ = *warm;
     ++warm_accepts_;
-    warm = true;
   } else {
+    // Zero is always valid: every edge cost is non-negative.
     potential_.assign(static_cast<std::size_t>(node_count_), 0);
-    ++warm_rejects_;
+    if (warm != nullptr) ++warm_rejects_;
   }
-  begin_stats(warm);
+  begin_stats(accepted);
   return run_ssp(s, t, max_flow);
 }
 

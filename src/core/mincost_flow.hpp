@@ -22,24 +22,18 @@
 // constructing a fresh network (see BM_MinCostFlowAssignment /
 // BM_GreenMatchPlanDay).
 //
-// Two extensions for callers that solve a slowly-drifting sequence of
-// networks (the planner replans a shifted copy of last slot's
-// problem):
-//  - warm-started solves: solve() accepts the previous solve's Johnson
-//    potentials as a starting point. They are validated in O(E)
-//    against the non-negative-reduced-cost invariant and silently
-//    dropped (zero re-init) if the new network violates it, so a warm
-//    start can never change correctness — only the work per search.
-//  - incremental cost scaling: under kCostScaling, solve() patches the
-//    residual network retained from the previous solve instead of
-//    rebuilding it (set_solver / set_incremental below).
+// For callers that solve a slowly-drifting sequence of networks (the
+// planner replans a shifted copy of last slot's problem), solve()
+// accepts the previous solve's Johnson potentials as a warm start.
+// They are validated in O(E) against the non-negative-reduced-cost
+// invariant and silently dropped (zero re-init) if the new network
+// violates it, so a warm start can never change correctness — only the
+// work per search.
 
 #include <climits>
 #include <cstdint>
 #include <utility>
 #include <vector>
-
-#include "core/mincost_flow_scaling.hpp"
 
 namespace gm::core {
 
@@ -47,14 +41,6 @@ class MinCostFlow {
  public:
   using NodeIdx = int;
   static constexpr long long kInfCost = LLONG_MAX / 4;
-
-  /// Which algorithm solve() runs. Both return an exact minimum-cost
-  /// maximum flow (same flow value, same objective); which of several
-  /// equal-cost optima is returned may differ.
-  enum class SolverKind : std::uint8_t {
-    kSuccessiveShortestPath = 0,  ///< Dijkstra + Johnson potentials
-    kCostScaling,  ///< ε-scaling push-relabel (mincost_flow_scaling)
-  };
 
   explicit MinCostFlow(int node_count);
 
@@ -84,7 +70,8 @@ class MinCostFlow {
     int nodes = 0;                ///< network nodes
     std::uint64_t arcs = 0;       ///< externally added arcs
     std::uint64_t classes = 0;    ///< task classes (planner-stamped)
-    /// Path searches: one per augmentation plus the final failing one.
+    /// Path searches: one per augmentation, plus the failing one that
+    /// ends a solve short of max_flow.
     std::uint64_t dijkstra_runs = 0;
     /// Frontier pops of the zero-cost walk plus heap pops of the
     /// Dijkstra that continues it after a miss.
@@ -95,21 +82,8 @@ class MinCostFlow {
     std::uint64_t zero_paths = 0;
     bool warm = false;            ///< warm potentials accepted
     /// Bytes of solver scratch held across solves (the reset() arena):
-    /// edge list, arc array, potentials, labels, pop log, heap, and
-    /// the cost-scaling core's retained residual network.
+    /// edge list, arc array, potentials, labels, pop log and heap.
     std::uint64_t arena_bytes = 0;
-    // Cost-scaling fields, zero under kSuccessiveShortestPath (see
-    // docs/solver.md for the glossary):
-    std::uint64_t cs_phases = 0;    ///< ε-phases walked by the ladder
-    std::uint64_t cs_pushes = 0;
-    std::uint64_t cs_relabels = 0;
-    std::uint64_t cs_price_refinements = 0;  ///< phases skipped by B-F
-    std::uint64_t cs_global_updates = 0;     ///< Dial re-anchorings
-    std::uint64_t cs_arcs_fixed = 0;  ///< arc pairs fixed at exit
-    /// 1 if this solve re-refined a patched residual network / 1 if it
-    /// (re)built cold. Lifetime sums: incremental_accepts()/rebuilds().
-    std::uint64_t incremental_accepts = 0;
-    std::uint64_t incremental_rebuilds = 0;
   };
 
   const SolveStats& last_stats() const { return last_stats_; }
@@ -135,45 +109,9 @@ class MinCostFlow {
   /// solve's warm start.
   const std::vector<long long>& potentials() const { return potential_; }
 
-  /// Selects the solving algorithm. Switching kinds drops any retained
-  /// cost-scaling state, so the next kCostScaling solve builds cold.
-  void set_solver(SolverKind kind) {
-    if (kind != solver_) scaling_.invalidate();
-    solver_ = kind;
-  }
-  SolverKind solver() const { return solver_; }
-
-  /// Incremental re-optimization (kCostScaling only, default on): a
-  /// solve diffs the freshly built network against the residual state
-  /// retained from the previous solve and, when the topology diff is
-  /// small, patches it in place and re-refines from retained prices
-  /// instead of rebuilding — the cost-scaling analogue of the SSP warm
-  /// start, but it also reuses the flow, not just the potentials.
-  /// reset()/add_edge() stay oblivious: the diff happens inside
-  /// solve(), keyed on arc endpoints, so the planner's rebuild-every-
-  /// slot pattern works unchanged. Fallback to a cold build is
-  /// automatic (shape change, large diff, or pathological patch).
-  void set_incremental(bool on) { incremental_ = on; }
-  bool incremental() const { return incremental_; }
-
   /// Warm-start bookkeeping across the lifetime of this instance.
   std::uint64_t warm_accepts() const { return warm_accepts_; }
   std::uint64_t warm_rejects() const { return warm_rejects_; }
-
-  /// Incremental-reoptimization bookkeeping (lifetime sums of the
-  /// per-solve SolveStats flags; both zero under SSP).
-  std::uint64_t incremental_accepts() const {
-    return incremental_accepts_;
-  }
-  std::uint64_t incremental_rebuilds() const {
-    return incremental_rebuilds_;
-  }
-
-  /// Test-only: forwards to CostScalingCore::set_test_relabel_limit to
-  /// force the patched-solve budget-abort → cold-rebuild path.
-  void set_test_relabel_limit(std::uint64_t limit) {
-    scaling_.set_test_relabel_limit(limit);
-  }
 
   /// Flow currently on edge `edge_index` (after solve).
   long long flow_on(int edge_index) const;
@@ -196,9 +134,10 @@ class MinCostFlow {
 
   /// Builds arcs_/first_/edge_arc_ from edges_ (zero flow).
   void lay_out();
+  /// Both solve() overloads: a null `warm` is the cold start.
+  Result solve_from(NodeIdx s, NodeIdx t, long long max_flow,
+                    const std::vector<long long>* warm);
   Result run_ssp(NodeIdx s, NodeIdx t, long long max_flow);
-  /// kCostScaling path, defined in mincost_flow_scaling.cpp.
-  Result run_cost_scaling(NodeIdx s, NodeIdx t, long long max_flow);
   /// Walks zero-reduced-cost residual arcs from s, lowest index first,
   /// after replaying the previous walk's first `keep` pops. Returns
   /// true when it discovers t (prev_arc_ then spells the path).
@@ -214,25 +153,24 @@ class MinCostFlow {
   /// reduced cost under `pot`.
   bool potentials_valid(const std::vector<long long>& pot) const;
 
+  /// One added edge, as add_edge() received it.
+  struct Edge {
+    NodeIdx from;
+    NodeIdx to;
+    long long cap;
+    long long cost;
+  };
+
   int node_count_ = 0;
-  /// The edges in add order; the cost-scaling core reads it as is.
-  std::vector<CostScalingCore::ExtArc> edges_;
+  std::vector<Edge> edges_;  ///< in add order
   bool laid_out_ = false;  ///< arcs_ reflects edges_
   std::vector<Arc> arcs_;
   std::vector<int> first_;     ///< node u's arcs: [first_[u], first_[u+1])
   std::vector<int> edge_arc_;  ///< forward arc of each edge
 
-  SolverKind solver_ = SolverKind::kSuccessiveShortestPath;
-  bool incremental_ = true;  ///< only consulted under kCostScaling
   std::uint64_t warm_accepts_ = 0;
   std::uint64_t warm_rejects_ = 0;
-  std::uint64_t incremental_accepts_ = 0;
-  std::uint64_t incremental_rebuilds_ = 0;
   SolveStats last_stats_;
-
-  /// Retained cost-scaling state (survives reset() on purpose — the
-  /// incremental diff happens against it).
-  CostScalingCore scaling_;
 
   // Solver scratch, reused across solve() calls (see reset()).
   std::vector<long long> potential_;

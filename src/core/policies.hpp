@@ -129,26 +129,15 @@ class GreenMatchPolicy final : public SchedulerPolicy {
     int classes = 0;           ///< distinct task signatures
     int network_nodes = 0;     ///< nodes in the flow network
     bool warm_start = false;   ///< previous potentials were accepted
-    bool incremental = false;  ///< solve patched the retained network
   };
   const PlanStats& last_plan_stats() const { return plan_stats_; }
 
-  /// Ablation / equivalence-test hook: disables task-class grouping so
-  /// plan_flow builds the one-node-per-task network (every task its
-  /// own singleton class — edge-for-edge the pre-aggregation form).
-  /// Deliberately NOT reachable from the config-file key space.
+  /// Equivalence-test hook: disables task-class grouping so plan_flow
+  /// builds the one-node-per-task network (every task its own
+  /// singleton class — edge-for-edge the pre-aggregation form), the
+  /// reference tests/test_planner_equivalence.cpp holds the aggregated
+  /// network to. No config key or PolicyConfig field reaches it.
   void set_aggregation(bool on) { aggregate_ = on; }
-  bool aggregation() const { return aggregate_; }
-
-  /// Swaps the min-cost flow algorithm under the planner (see
-  /// MinCostFlow::SolverKind and docs/solver.md). kCostScaling enables
-  /// incremental re-optimization between slots and pads the class node
-  /// range so consecutive plans keep a stable node layout; the default
-  /// SSP path is byte-identical to previous releases. Test/bench-only:
-  /// reachable via PolicyConfig::cost_scaling_planner, not the
-  /// config-file key space.
-  void set_solver(MinCostFlow::SolverKind kind);
-  MinCostFlow::SolverKind solver() const { return flow_.solver(); }
 
   /// Warm-start acceptance counters of the underlying solver(s) —
   /// summed over the per-shard sub-planners when sharded.
@@ -160,21 +149,6 @@ class GreenMatchPolicy final : public SchedulerPolicy {
   std::uint64_t warm_rejects() const {
     std::uint64_t n = flow_.warm_rejects();
     for (const auto& s : shard_planners_) n += s->flow_.warm_rejects();
-    return n;
-  }
-
-  /// Incremental re-optimization counters of the underlying solver(s)
-  /// (zero under the default SSP solver); summed over shards.
-  std::uint64_t incremental_accepts() const {
-    std::uint64_t n = flow_.incremental_accepts();
-    for (const auto& s : shard_planners_)
-      n += s->flow_.incremental_accepts();
-    return n;
-  }
-  std::uint64_t incremental_rebuilds() const {
-    std::uint64_t n = flow_.incremental_rebuilds();
-    for (const auto& s : shard_planners_)
-      n += s->flow_.incremental_rebuilds();
     return n;
   }
 
@@ -190,14 +164,6 @@ class GreenMatchPolicy final : public SchedulerPolicy {
     std::uint64_t augmenting_paths = 0;
     std::uint64_t zero_paths = 0;
     std::uint64_t arena_bytes_peak = 0;
-    // Cost-scaling work (zero under the default SSP solver):
-    std::uint64_t cs_phases = 0;
-    std::uint64_t cs_pushes = 0;
-    std::uint64_t cs_relabels = 0;
-    std::uint64_t cs_price_refinements = 0;
-    std::uint64_t cs_global_updates = 0;
-    std::uint64_t incremental_accepts = 0;
-    std::uint64_t incremental_rebuilds = 0;
   };
   /// Aggregated over the flat planner and every shard sub-planner
   /// (counter sum, arena peak max).
@@ -214,8 +180,7 @@ class GreenMatchPolicy final : public SchedulerPolicy {
   /// green-headroom reconciliation → merge (see docs/scheduling.md).
   SlotDecision plan_sharded(const SlotContext& ctx);
   /// Lazily builds the per-shard sub-planners (each with its own
-  /// retained flow network, warm potentials, and incremental
-  /// cost-scaling state) and the solve pool.
+  /// retained flow network and warm potentials) and the solve pool.
   void ensure_shard_planners();
   /// Power committed to foreground work + its coverage floor in
   /// horizon slot j.
@@ -272,9 +237,8 @@ class GreenMatchPolicy final : public SchedulerPolicy {
   /// flat/outer planner); stamped into provenance records.
   int shard_id_ = -1;
   /// One retained planner per shard: each keeps its own flow arena,
-  /// warm potentials, incremental cost-scaling residual network, and
-  /// plan cache across slots, so sharding composes with every
-  /// between-slot reuse path the flat planner has.
+  /// warm potentials and plan cache across slots, so sharding composes
+  /// with every between-slot reuse path the flat planner has.
   std::vector<std::unique_ptr<GreenMatchPolicy>> shard_planners_;
   std::unique_ptr<ThreadPool> pool_;
   std::uint64_t reconciliation_solves_ = 0;

@@ -57,9 +57,6 @@ std::unique_ptr<SchedulerPolicy> make_policy(const PolicyConfig& config) {
           config.horizon_slots, /*greedy=*/false,
           config.replan_every_slot, config.battery_aware,
           config.carbon_aware);
-      policy->set_aggregation(config.aggregate_planner);
-      if (config.cost_scaling_planner)
-        policy->set_solver(MinCostFlow::SolverKind::kCostScaling);
       policy->set_shards(config.shards);
       return policy;
     }

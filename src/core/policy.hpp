@@ -153,21 +153,6 @@ struct PolicyConfig {
   /// NightShift: daily run window for background tasks.
   double window_start_h = 9.0;
   double window_end_h = 17.0;
-  /// GreenMatch: build the flow network over task classes (tasks with
-  /// identical planner signatures share one node) instead of one node
-  /// per task. The ablation/equivalence-test escape hatch back to the
-  /// per-task network; deliberately NOT reachable from the
-  /// config-file key space (see test_leak_j_per_slot for the
-  /// precedent).
-  bool aggregate_planner = true;
-  /// GreenMatch: solve the matching with the cost-scaling push-relabel
-  /// solver (incremental re-optimization between slots) instead of the
-  /// default successive-shortest-path solver. Both return the same
-  /// objective (see docs/solver.md and test_planner_equivalence); the
-  /// knob exists for benches and equivalence tests and, like
-  /// aggregate_planner, is deliberately NOT reachable from the
-  /// config-file key space.
-  bool cost_scaling_planner = false;
   /// GreenMatch: number of placement-group scheduling shards. `1`
   /// (the default) plans the whole fleet in one flow network; `N > 1`
   /// partitions nodes, pending tasks, and forecast supply into N

@@ -96,15 +96,6 @@ struct SchedulerReport {
   std::uint64_t solver_augmenting_paths = 0;
   std::uint64_t solver_zero_paths = 0;  ///< found without a Dijkstra
   std::uint64_t solver_arena_bytes_peak = 0;
-  // Cost-scaling solver telemetry (zero under the default SSP solver;
-  // docs/solver.md has the field glossary).
-  std::uint64_t solver_cs_phases = 0;
-  std::uint64_t solver_cs_pushes = 0;
-  std::uint64_t solver_cs_relabels = 0;
-  std::uint64_t solver_cs_price_refinements = 0;
-  std::uint64_t solver_cs_global_updates = 0;
-  std::uint64_t solver_incremental_accepts = 0;
-  std::uint64_t solver_incremental_rebuilds = 0;
   // Sharded-planner telemetry (zero when scheduler.shards = 1).
   std::uint64_t planner_shards = 0;
   std::uint64_t reconciliation_solves = 0;

@@ -1,7 +1,8 @@
 // Min-cost max-flow solver tests: hand-checked instances, property
 // checks (flow conservation, capacity limits), optimality against
 // brute force on random small bipartite assignment instances, and the
-// SSP solver pinned bit for bit to a Dijkstra-per-path oracle.
+// SSP solver pinned bit for bit to a Dijkstra-per-path oracle and held
+// to the residual-network optimality certificate.
 
 #include <gtest/gtest.h>
 
@@ -665,8 +666,84 @@ OracleNet planner_oracle_net(Rng& rng, bool battery) {
   return net;
 }
 
+/// The textbook optimality certificate of a min-cost flow, checked on
+/// the residual network rebuilt from `net` and f.flow_on() alone, so it
+/// holds the solver to the optimum without trusting any solver: the
+/// flow is feasible and costs what `got` reports; below `max_flow` no
+/// residual s→t path remains (the flow is maximum); and Bellman–Ford
+/// finds no negative-cost residual cycle (no flow of the same value is
+/// cheaper).
+::testing::AssertionResult is_min_cost_max_flow(
+    const OracleNet& net, const MinCostFlow& f,
+    const MinCostFlow::Result& got) {
+  struct Residual {
+    int a, b;
+    long long cost;
+  };
+  const auto n = static_cast<std::size_t>(net.nodes);
+  std::vector<Residual> residual;
+  std::vector<long long> excess(n, 0);
+  long long cost = 0;
+  for (std::size_t i = 0; i < net.edges.size(); ++i) {
+    const auto& e = net.edges[i];
+    const long long flow = f.flow_on(static_cast<int>(i));
+    if (flow < 0 || flow > e.cap)
+      return ::testing::AssertionFailure()
+             << "edge " << i << " carries " << flow << " of " << e.cap;
+    excess[e.a] -= flow;
+    excess[e.b] += flow;
+    cost += flow * e.cost;
+    if (flow < e.cap) residual.push_back({e.a, e.b, e.cost});
+    if (flow > 0) residual.push_back({e.b, e.a, -e.cost});
+  }
+  excess[net.s] += got.flow;
+  excess[net.t] -= got.flow;
+  for (std::size_t v = 0; v < n; ++v)
+    if (excess[v] != 0)
+      return ::testing::AssertionFailure()
+             << "node " << v << " is off balance by " << excess[v];
+  if (cost != got.cost)
+    return ::testing::AssertionFailure()
+           << "flow costs " << cost << ", solver reports " << got.cost;
+
+  if (got.flow < net.max_flow) {
+    std::vector<char> seen(n, 0);
+    seen[net.s] = 1;
+    for (bool grew = true; grew;) {
+      grew = false;
+      for (const auto& r : residual) {
+        if (seen[r.a] && !seen[r.b]) {
+          seen[r.b] = 1;
+          grew = true;
+        }
+      }
+    }
+    if (seen[net.t])
+      return ::testing::AssertionFailure()
+             << "flow " << got.flow << " is below max_flow "
+             << net.max_flow << " but a residual s->t path remains";
+  }
+
+  // Bellman–Ford from a virtual source joined to every node at cost 0:
+  // without a negative cycle the labels settle within n passes.
+  std::vector<long long> dist(n, 0);
+  for (std::size_t pass = 0; pass <= n; ++pass) {
+    bool relaxed = false;
+    for (const auto& r : residual) {
+      if (dist[r.a] + r.cost < dist[r.b]) {
+        dist[r.b] = dist[r.a] + r.cost;
+        relaxed = true;
+      }
+    }
+    if (!relaxed) return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "the residual network has a negative-cost cycle";
+}
+
 /// Solves `net` with the oracle and with `f` (reused across calls, as
-/// the planner reuses its instance) and requires identical outcomes.
+/// the planner reuses its instance) and requires identical outcomes,
+/// after checking the solver's flow against the optimality certificate.
 void expect_matches_oracle(MinCostFlow& f, const OracleNet& net,
                            const std::vector<long long>* warm,
                            const std::string& label) {
@@ -679,6 +756,7 @@ void expect_matches_oracle(MinCostFlow& f, const OracleNet& net,
   const auto got = warm != nullptr
                        ? f.solve(net.s, net.t, net.max_flow, *warm)
                        : f.solve(net.s, net.t, net.max_flow);
+  ASSERT_TRUE(is_min_cost_max_flow(net, f, got)) << label;
   ASSERT_EQ(got.flow, want.flow) << label;
   ASSERT_EQ(got.cost, want.cost) << label;
   ASSERT_EQ(f.warm_accepts() - accepts, ref.warm_accepted() ? 1u : 0u)
@@ -757,455 +835,6 @@ TEST_P(ZeroPathOracle, PlannerNetworksMatchDijkstraPerPath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ZeroPathOracle, ::testing::Range(0, 20));
-
-// ---- the cost-scaling solver ----------------------------------------
-//
-// SolverKind::kCostScaling must return the exact SSP objective (same
-// flow value, same cost) on every network — the hand instances above
-// re-run under it, plus random-network agreement and the incremental
-// re-optimization seams (patch accept/reject, stranded-flow excess
-// conversion, forced budget-abort fallback). docs/solver.md describes
-// the algorithm and the patch contract these tests pin down.
-
-MinCostFlow make_cs(int nodes) {
-  MinCostFlow f(nodes);
-  f.set_solver(MinCostFlow::SolverKind::kCostScaling);
-  return f;
-}
-
-TEST(CostScaling, SingleEdge) {
-  auto f = make_cs(2);
-  const int e = f.add_edge(0, 1, 5, 3);
-  const auto r = f.solve(0, 1);
-  EXPECT_EQ(r.flow, 5);
-  EXPECT_EQ(r.cost, 15);
-  EXPECT_EQ(f.flow_on(e), 5);
-  EXPECT_EQ(f.last_stats().incremental_rebuilds, 1u);
-  EXPECT_EQ(f.last_stats().incremental_accepts, 0u);
-}
-
-TEST(CostScaling, PrefersCheaperPath) {
-  // Unique optimum, so the per-edge flows are pinned, not just the
-  // objective.
-  auto f = make_cs(4);
-  const int cheap_a = f.add_edge(0, 1, 1, 0);
-  const int cheap_b = f.add_edge(1, 3, 1, 0);
-  const int dear_a = f.add_edge(0, 2, 10, 5);
-  const int dear_b = f.add_edge(2, 3, 10, 5);
-  const auto r = f.solve(0, 3, 3);
-  EXPECT_EQ(r.flow, 3);
-  EXPECT_EQ(r.cost, 0 + 2 * 10);
-  EXPECT_EQ(f.flow_on(cheap_a), 1);
-  EXPECT_EQ(f.flow_on(cheap_b), 1);
-  EXPECT_EQ(f.flow_on(dear_a), 2);
-  EXPECT_EQ(f.flow_on(dear_b), 2);
-}
-
-TEST(CostScaling, RespectsMaxFlowBound) {
-  auto f = make_cs(2);
-  f.add_edge(0, 1, 100, 1);
-  const auto r = f.solve(0, 1, 7);
-  EXPECT_EQ(r.flow, 7);
-  EXPECT_EQ(r.cost, 7);
-}
-
-TEST(CostScaling, DisconnectedYieldsZero) {
-  auto f = make_cs(3);
-  f.add_edge(0, 1, 10, 1);
-  const auto r = f.solve(0, 2);
-  EXPECT_EQ(r.flow, 0);
-  EXPECT_EQ(r.cost, 0);
-}
-
-TEST(CostScaling, ClassicAugmentingRequiresReroute) {
-  auto f = make_cs(4);
-  f.add_edge(0, 1, 1, 1);
-  f.add_edge(0, 2, 1, 4);
-  f.add_edge(1, 2, 1, 1);
-  f.add_edge(1, 3, 1, 5);
-  f.add_edge(2, 3, 1, 1);
-  const auto r = f.solve(0, 3);
-  EXPECT_EQ(r.flow, 2);
-  EXPECT_EQ(r.cost, 11);  // see the SSP twin for the enumeration
-}
-
-TEST(CostScaling, MatchesBruteForceAssignment) {
-  for (int seed = 1; seed <= 20; ++seed) {
-    Rng rng(static_cast<std::uint64_t>(seed));
-    const int n = 3 + static_cast<int>(rng.uniform_u64(3));
-    const int m = n + static_cast<int>(rng.uniform_u64(2));
-    std::vector<std::vector<long long>> cost(
-        n, std::vector<long long>(m));
-    for (auto& row : cost)
-      for (auto& c : row)
-        c = static_cast<long long>(rng.uniform_u64(50));
-
-    auto f = make_cs(n + m + 2);
-    const int sink = n + m + 1;
-    for (int i = 0; i < n; ++i) f.add_edge(0, 1 + i, 1, 0);
-    for (int i = 0; i < n; ++i)
-      for (int s = 0; s < m; ++s)
-        f.add_edge(1 + i, 1 + n + s, 1, cost[i][s]);
-    for (int s = 0; s < m; ++s) f.add_edge(1 + n + s, sink, 1, 0);
-
-    const auto r = f.solve(0, sink);
-    EXPECT_EQ(r.flow, n) << "seed " << seed;
-    EXPECT_EQ(r.cost, brute_force_assignment(cost)) << "seed " << seed;
-  }
-}
-
-/// Per-edge writeback sanity for a solved cost-scaling network:
-/// capacities respected, conservation at every internal node.
-void expect_cs_flows_consistent(const RandomNetwork& net,
-                                const MinCostFlow& f,
-                                const std::vector<int>& ids) {
-  std::vector<long long> net_flow(static_cast<std::size_t>(net.nodes),
-                                  0);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const long long flow = f.flow_on(ids[i]);
-    EXPECT_GE(flow, 0);
-    EXPECT_LE(flow, net.edges[i].cap);
-    net_flow[static_cast<std::size_t>(net.edges[i].a)] -= flow;
-    net_flow[static_cast<std::size_t>(net.edges[i].b)] += flow;
-  }
-  for (int v = 1; v < net.nodes - 1; ++v)
-    EXPECT_EQ(net_flow[static_cast<std::size_t>(v)], 0)
-        << "node " << v;
-  EXPECT_EQ(net_flow[0],
-            -net_flow[static_cast<std::size_t>(net.nodes) - 1]);
-}
-
-class CostScalingRandom : public ::testing::TestWithParam<int> {};
-
-TEST_P(CostScalingRandom, MatchesSspObjective) {
-  const RandomNetwork net(static_cast<std::uint64_t>(GetParam()));
-  MinCostFlow ssp(1);
-  net.build(ssp);
-  const auto cold = ssp.solve(0, net.nodes - 1);
-
-  auto cs = make_cs(1);
-  const auto ids = net.build(cs);
-  const auto r = cs.solve(0, net.nodes - 1);
-  EXPECT_EQ(r.flow, cold.flow);
-  EXPECT_EQ(r.cost, cold.cost);
-  expect_cs_flows_consistent(net, cs, ids);
-
-  // A binding max-flow bound exercises the slack arc's partial-supply
-  // path (the bound becomes the supply, the slack carries the rest).
-  if (cold.flow > 1) {
-    const long long bound = cold.flow - 1;
-    MinCostFlow ssp2(1);
-    net.build(ssp2);
-    const auto want = ssp2.solve(0, net.nodes - 1, bound);
-    auto cs2 = make_cs(1);
-    net.build(cs2);
-    const auto got = cs2.solve(0, net.nodes - 1, bound);
-    EXPECT_EQ(got.flow, want.flow);
-    EXPECT_EQ(got.cost, want.cost);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CostScalingRandom,
-                         ::testing::Range(1, 26));
-
-TEST(CostScaling, SolveStatsCountScalingWork) {
-  auto f = make_cs(4);
-  f.add_edge(0, 1, 1, 0);
-  f.add_edge(1, 3, 1, 0);
-  f.add_edge(0, 2, 10, 5);
-  f.add_edge(2, 3, 10, 5);
-  const auto r = f.solve(0, 3, 3);
-  EXPECT_EQ(r.flow, 3);
-  const auto& st = f.last_stats();
-  EXPECT_EQ(st.nodes, 4);
-  EXPECT_EQ(st.arcs, 4u);
-  EXPECT_GT(st.cs_phases, 0u);
-  EXPECT_GT(st.cs_pushes, 0u);
-  EXPECT_EQ(st.incremental_rebuilds, 1u);
-  EXPECT_GT(st.arena_bytes, 0u);
-  // The Dijkstra counters belong to the SSP path and stay zero here,
-  // as do the warm-start fields.
-  EXPECT_EQ(st.dijkstra_runs, 0u);
-  EXPECT_EQ(st.augmenting_paths, 0u);
-  EXPECT_FALSE(st.warm);
-}
-
-TEST(CostScaling, WarmSeedIsIgnoredWithoutTouchingCounters) {
-  // The warm-started solve() overload is an SSP feature; under
-  // kCostScaling the seed is dropped silently — no accept, no reject.
-  const RandomNetwork net(9);
-  MinCostFlow ssp(1);
-  net.build(ssp);
-  const auto cold = ssp.solve(0, net.nodes - 1);
-
-  auto cs = make_cs(1);
-  net.build(cs);
-  const std::vector<long long> seed(
-      static_cast<std::size_t>(net.nodes), 0);
-  const auto r =
-      cs.solve(0, net.nodes - 1, LLONG_MAX / 4, seed);
-  EXPECT_EQ(r.flow, cold.flow);
-  EXPECT_EQ(r.cost, cold.cost);
-  EXPECT_EQ(cs.warm_accepts(), 0u);
-  EXPECT_EQ(cs.warm_rejects(), 0u);
-  EXPECT_FALSE(cs.last_stats().warm);
-}
-
-// ---- incremental re-optimization ------------------------------------
-
-TEST(CostScalingIncremental, IdenticalResolveIsPatched) {
-  const RandomNetwork net(3);
-  auto f = make_cs(1);
-  net.build(f);
-  const auto first = f.solve(0, net.nodes - 1);
-  EXPECT_EQ(f.incremental_rebuilds(), 1u);
-  EXPECT_EQ(f.incremental_accepts(), 0u);
-
-  net.build(f);  // reset() + add_edge; the diff happens inside solve()
-  const auto second = f.solve(0, net.nodes - 1);
-  EXPECT_EQ(f.incremental_accepts(), 1u);
-  EXPECT_EQ(f.incremental_rebuilds(), 1u);
-  EXPECT_EQ(f.last_stats().incremental_accepts, 1u);
-  EXPECT_EQ(f.last_stats().incremental_rebuilds, 0u);
-  EXPECT_EQ(second.flow, first.flow);
-  EXPECT_EQ(second.cost, first.cost);
-}
-
-TEST(CostScalingIncremental, NodeCountChangeForcesRebuild) {
-  auto f = make_cs(2);
-  f.add_edge(0, 1, 5, 3);
-  f.solve(0, 1);
-  f.reset(3);
-  f.add_edge(0, 1, 5, 3);
-  f.add_edge(1, 2, 5, 2);
-  const auto r = f.solve(0, 2);
-  EXPECT_EQ(r.flow, 5);
-  EXPECT_EQ(r.cost, 25);
-  EXPECT_EQ(f.incremental_rebuilds(), 2u);
-  EXPECT_EQ(f.incremental_accepts(), 0u);
-}
-
-TEST(CostScalingIncremental, LargeDiffForcesRebuild) {
-  // 12 disjoint two-hop paths, then 10 brand-new arc pairs: the diff
-  // (10 adds) exceeds max(8, live/4) = max(8, 6) and must be rejected
-  // in favour of a cold rebuild — with the same objective.
-  const auto build = [](MinCostFlow& f, bool extra) {
-    f.reset(14);
-    for (int i = 1; i <= 12; ++i) {
-      f.add_edge(0, i, 1, i);
-      f.add_edge(i, 13, 1, 0);
-    }
-    if (extra)
-      for (int i = 1; i <= 10; ++i) f.add_edge(i, i + 1, 0, 1);
-  };
-  auto f = make_cs(1);
-  build(f, false);
-  const auto first = f.solve(0, 13);
-  EXPECT_EQ(first.flow, 12);
-  build(f, true);
-  const auto second = f.solve(0, 13);
-  EXPECT_EQ(second.flow, first.flow);
-  EXPECT_EQ(second.cost, first.cost);  // the new arcs have zero cap
-  EXPECT_EQ(f.incremental_rebuilds(), 2u);
-  EXPECT_EQ(f.incremental_accepts(), 0u);
-}
-
-TEST(CostScalingIncremental, MaxFlowBoundChangeIsPatched) {
-  // Supply shrink strands flow on the slack arc (excess conversion);
-  // supply growth re-runs the ladder from the retained prices. Both
-  // are endpoint-preserving patches.
-  auto f = make_cs(2);
-  f.add_edge(0, 1, 100, 1);
-  auto r = f.solve(0, 1, 7);
-  EXPECT_EQ(r.flow, 7);
-  f.reset(2);
-  f.add_edge(0, 1, 100, 1);
-  r = f.solve(0, 1, 3);
-  EXPECT_EQ(r.flow, 3);
-  EXPECT_EQ(r.cost, 3);
-  f.reset(2);
-  f.add_edge(0, 1, 100, 1);
-  r = f.solve(0, 1, 50);
-  EXPECT_EQ(r.flow, 50);
-  EXPECT_EQ(r.cost, 50);
-  EXPECT_EQ(f.incremental_accepts(), 2u);
-  EXPECT_EQ(f.incremental_rebuilds(), 1u);
-}
-
-TEST(CostScalingIncremental, CapacityCutBelowFlowIsPatched) {
-  // Cutting a flow-carrying arc below its flow converts the overhang
-  // into an excess/deficit pair that the next refine re-routes (here:
-  // back to the source and out via the slack arc).
-  auto f = make_cs(3);
-  f.add_edge(0, 1, 5, 1);
-  f.add_edge(1, 2, 5, 1);
-  auto r = f.solve(0, 2);
-  EXPECT_EQ(r.flow, 5);
-  f.reset(3);
-  f.add_edge(0, 1, 5, 1);
-  f.add_edge(1, 2, 2, 1);
-  r = f.solve(0, 2);
-  EXPECT_EQ(r.flow, 2);
-  EXPECT_EQ(r.cost, 4);
-  EXPECT_EQ(f.incremental_accepts(), 1u);
-}
-
-TEST(CostScalingIncremental, SupplyEdgeFlipsToZeroIsPatched) {
-  // The planner's "green supply vanished this slot" shape: a parallel
-  // cheap/dear arc pair where the cheap one's capacity drops to zero
-  // between solves. Endpoints are stable, so the patch must match.
-  const auto build = [](MinCostFlow& f, long long green_cap) {
-    f.reset(3);
-    f.add_edge(0, 1, green_cap, 0);  // green
-    f.add_edge(0, 1, 10, 5);         // brown
-    f.add_edge(1, 2, 8, 0);
-  };
-  auto cs = make_cs(1);
-  MinCostFlow ssp(1);
-  for (const long long green_cap : {4LL, 0LL}) {
-    build(cs, green_cap);
-    const auto got = cs.solve(0, 2);
-    build(ssp, green_cap);
-    const auto want = ssp.solve(0, 2);
-    EXPECT_EQ(got.flow, want.flow) << "green cap " << green_cap;
-    EXPECT_EQ(got.cost, want.cost) << "green cap " << green_cap;
-  }
-  EXPECT_EQ(cs.incremental_accepts(), 1u);
-  EXPECT_EQ(cs.incremental_rebuilds(), 1u);
-}
-
-TEST(CostScalingIncremental, BudgetAbortFallsBackToColdRebuild) {
-  // A patched solve that blows its relabel budget must invalidate the
-  // retained state and re-solve from a cold build — same objective,
-  // counted as a rebuild. The test hook pins the budget to 1 relabel
-  // for patched solves only; the capacity cut below strands 4 units
-  // four hops from their deficit, which no single relabel can route.
-  const auto build = [](MinCostFlow& f, long long mid_cap) {
-    f.reset(6);
-    for (int i = 0; i < 5; ++i)
-      f.add_edge(i, i + 1, i == 3 ? mid_cap : 5, 1);
-    f.add_edge(0, 5, 5, 50);
-  };
-  auto f = make_cs(1);
-  build(f, 5);
-  const auto first = f.solve(0, 5);
-  EXPECT_EQ(first.flow, 10);
-  EXPECT_EQ(first.cost, 5 * 5 + 5 * 50);
-
-  f.set_test_relabel_limit(1);
-  build(f, 1);
-  const auto second = f.solve(0, 5);
-  EXPECT_EQ(second.flow, 6);
-  EXPECT_EQ(second.cost, 1 * 5 + 5 * 50);
-  EXPECT_EQ(f.incremental_accepts(), 0u);
-  EXPECT_EQ(f.incremental_rebuilds(), 2u);
-  EXPECT_EQ(f.last_stats().incremental_rebuilds, 1u);
-
-  // With the hook released the same patch succeeds incrementally.
-  f.set_test_relabel_limit(0);
-  build(f, 2);
-  const auto third = f.solve(0, 5);
-  EXPECT_EQ(third.flow, 7);
-  EXPECT_EQ(third.cost, 2 * 5 + 5 * 50);
-  EXPECT_EQ(f.incremental_accepts(), 1u);
-  EXPECT_EQ(f.incremental_rebuilds(), 2u);
-}
-
-TEST(CostScalingIncremental, DisabledIncrementalAlwaysRebuilds) {
-  const RandomNetwork net(5);
-  auto f = make_cs(1);
-  f.set_incremental(false);
-  net.build(f);
-  const auto first = f.solve(0, net.nodes - 1);
-  net.build(f);
-  const auto second = f.solve(0, net.nodes - 1);
-  EXPECT_EQ(second.flow, first.flow);
-  EXPECT_EQ(second.cost, first.cost);
-  EXPECT_EQ(f.incremental_rebuilds(), 2u);
-  EXPECT_EQ(f.incremental_accepts(), 0u);
-
-  f.set_incremental(true);
-  net.build(f);
-  f.solve(0, net.nodes - 1);
-  EXPECT_EQ(f.incremental_accepts(), 1u);
-}
-
-TEST(CostScalingIncremental, SolverSwitchDropsRetainedState) {
-  const RandomNetwork net(4);
-  auto f = make_cs(1);
-  net.build(f);
-  f.solve(0, net.nodes - 1);
-  EXPECT_EQ(f.incremental_rebuilds(), 1u);
-  // A round trip through SSP invalidates the residual state: the next
-  // cost-scaling solve has nothing to diff against and builds cold.
-  f.set_solver(MinCostFlow::SolverKind::kSuccessiveShortestPath);
-  f.set_solver(MinCostFlow::SolverKind::kCostScaling);
-  net.build(f);
-  f.solve(0, net.nodes - 1);
-  EXPECT_EQ(f.incremental_rebuilds(), 2u);
-  EXPECT_EQ(f.incremental_accepts(), 0u);
-}
-
-class CostScalingDrift : public ::testing::TestWithParam<int> {};
-
-// A drifting network sequence — cost bumps, capacity edits (including
-// to zero), arc removals and insertions — re-solved incrementally must
-// match a cold SSP solve of every instance, with most steps accepted
-// as patches (each step's diff is at most a few arcs).
-TEST_P(CostScalingDrift, SequenceMatchesColdSsp) {
-  RandomNetwork net(static_cast<std::uint64_t>(GetParam()));
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 977 + 5);
-  auto cs = make_cs(1);
-  for (int step = 0; step < 10; ++step) {
-    const auto ids = net.build(cs);
-    const auto got = cs.solve(0, net.nodes - 1);
-    MinCostFlow ssp(1);
-    net.build(ssp);
-    const auto want = ssp.solve(0, net.nodes - 1);
-    ASSERT_EQ(got.flow, want.flow)
-        << "seed " << GetParam() << " step " << step;
-    ASSERT_EQ(got.cost, want.cost)
-        << "seed " << GetParam() << " step " << step;
-    expect_cs_flows_consistent(net, cs, ids);
-
-    // Drift: a couple of in-place edits, the occasional arc churn.
-    for (int k = 0; k < 2; ++k) {
-      auto& e = net.edges[rng.uniform_u64(net.edges.size())];
-      switch (rng.uniform_u64(3)) {
-        case 0:
-          e.cost = static_cast<long long>(rng.uniform_u64(1000));
-          break;
-        case 1:
-          e.cap = static_cast<long long>(rng.uniform_u64(5));
-          break;
-        default:
-          e.cap += 1 + static_cast<long long>(rng.uniform_u64(3));
-          break;
-      }
-    }
-    if (rng.uniform_u64(4) == 0 && net.edges.size() > 4)
-      net.edges.erase(
-          net.edges.begin() +
-          static_cast<std::ptrdiff_t>(
-              rng.uniform_u64(net.edges.size())));
-    if (rng.uniform_u64(4) == 0) {
-      const int a =
-          static_cast<int>(rng.uniform_u64(
-              static_cast<std::uint64_t>(net.nodes) - 1));
-      int b = 1 + static_cast<int>(rng.uniform_u64(
-                      static_cast<std::uint64_t>(net.nodes) - 1));
-      if (b == a) b = net.nodes - 1;
-      net.edges.push_back(
-          {a, b, 1 + static_cast<long long>(rng.uniform_u64(4)),
-           static_cast<long long>(rng.uniform_u64(50))});
-    }
-  }
-  EXPECT_EQ(cs.incremental_accepts() + cs.incremental_rebuilds(), 10u);
-  EXPECT_GE(cs.incremental_accepts(), 5u) << "seed " << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CostScalingDrift,
-                         ::testing::Range(1, 16));
 
 }  // namespace
 }  // namespace gm::core

@@ -6,18 +6,11 @@
 // per-task network edge for edge — identical decisions there. Warm
 // starts must never change the objective either: a warm-started
 // replan sequence is compared against cold single-shot solves.
-//
-// Since PR 8 the whole suite also runs under the cost-scaling solver
-// (PolicyConfig::cost_scaling_planner / set_solver): both solvers must
-// report the same objective on every instance, and the incremental
-// replan path (patch + re-refine) is held to cold solves the same way
-// warm starts are — see docs/solver.md.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include "core/policies.hpp"
@@ -125,20 +118,15 @@ SlotContext random_ctx(Rng& rng, int horizon, bool duplicates,
 /// decision, with the solve telemetry in `stats`.
 SlotDecision plan_once(const SlotContext& ctx, const ClusterFacts& facts,
                        bool aggregate, bool battery, bool carbon,
-                       MinCostFlow::SolverKind solver,
                        GreenMatchPolicy::PlanStats* stats) {
   GreenMatchPolicy policy(24, /*greedy=*/false,
                           /*replan_every_slot=*/true, battery, carbon);
   policy.set_aggregation(aggregate);
-  policy.set_solver(solver);
   policy.initialize(facts);
   const auto decision = policy.decide(ctx);
   *stats = policy.last_plan_stats();
   return decision;
 }
-
-constexpr auto kSsp = MinCostFlow::SolverKind::kSuccessiveShortestPath;
-constexpr auto kCostScaling = MinCostFlow::SolverKind::kCostScaling;
 
 void expect_valid_run_set(const SlotContext& ctx,
                           const SlotDecision& decision) {
@@ -151,18 +139,14 @@ void expect_valid_run_set(const SlotContext& ctx,
   }
 }
 
-/// Params: (battery network, cost-scaling solver).
-class PlannerEquivalence
-    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+/// Param: battery network.
+class PlannerEquivalence : public ::testing::TestWithParam<bool> {};
 
 // ≥200 random pending sets (125 seeds × duplicate-heavy and
 // spread-out variants): the aggregated and per-task networks must
-// place the same number of slot-units at the same objective value —
-// under both solvers, which must also agree with *each other* on
-// every instance (the PR 8 cross-solver equivalence gate).
+// place the same number of slot-units at the same objective value.
 TEST_P(PlannerEquivalence, SameObjectiveAsPerTaskNetwork) {
-  const auto [battery, cost_scaling] = GetParam();
-  const auto solver = cost_scaling ? kCostScaling : kSsp;
+  const bool battery = GetParam();
   for (std::uint64_t seed = 1; seed <= 125; ++seed) {
     for (const bool duplicates : {false, true}) {
       Rng rng(seed * 7919 + (duplicates ? 1 : 0));
@@ -174,9 +158,9 @@ TEST_P(PlannerEquivalence, SameObjectiveAsPerTaskNetwork) {
 
       GreenMatchPolicy::PlanStats agg_stats, ref_stats;
       const auto agg = plan_once(ctx, facts, /*aggregate=*/true,
-                                 battery, carbon, solver, &agg_stats);
+                                 battery, carbon, &agg_stats);
       const auto ref = plan_once(ctx, facts, /*aggregate=*/false,
-                                 battery, carbon, solver, &ref_stats);
+                                 battery, carbon, &ref_stats);
 
       ASSERT_EQ(agg_stats.flow, ref_stats.flow)
           << "seed " << seed << " duplicates " << duplicates;
@@ -191,23 +175,9 @@ TEST_P(PlannerEquivalence, SameObjectiveAsPerTaskNetwork) {
       expect_valid_run_set(ctx, ref);
       EXPECT_EQ(agg.eco_speed, ref.eco_speed);
 
-      // Cross-solver: the cost-scaling objective must equal the SSP
-      // objective on the same instance (decisions may pick a
-      // different equal-cost optimum, the objective may not move).
-      if (cost_scaling) {
-        GreenMatchPolicy::PlanStats ssp_stats;
-        plan_once(ctx, facts, /*aggregate=*/true, battery, carbon,
-                  kSsp, &ssp_stats);
-        ASSERT_EQ(agg_stats.flow, ssp_stats.flow)
-            << "seed " << seed << " duplicates " << duplicates;
-        ASSERT_EQ(agg_stats.cost, ssp_stats.cost)
-            << "seed " << seed << " duplicates " << duplicates;
-      }
-
       // All-distinct signatures degenerate to the per-task network
       // edge for edge: the decisions must be identical, not merely
-      // cost-tied (both solvers are deterministic, so this holds for
-      // either — each compared against itself on the twin network).
+      // cost-tied (the solver is deterministic).
       if (agg_stats.classes == agg_stats.tasks) {
         EXPECT_EQ(agg.run_tasks, ref.run_tasks)
             << "seed " << seed << " duplicates " << duplicates;
@@ -220,7 +190,7 @@ TEST_P(PlannerEquivalence, SameObjectiveAsPerTaskNetwork) {
 // Duplicate-heavy pools must actually collapse (otherwise this suite
 // exercises nothing).
 TEST_P(PlannerEquivalence, DuplicateSignaturesCollapse) {
-  const auto [battery, cost_scaling] = GetParam();
+  const bool battery = GetParam();
   int collapsed = 0, instances = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
@@ -228,8 +198,7 @@ TEST_P(PlannerEquivalence, DuplicateSignaturesCollapse) {
     const auto ctx = random_ctx(rng, 12, /*duplicates=*/true, battery);
     if (ctx.pending.size() < 10) continue;
     GreenMatchPolicy::PlanStats stats;
-    plan_once(ctx, facts, /*aggregate=*/true, battery, false,
-              cost_scaling ? kCostScaling : kSsp, &stats);
+    plan_once(ctx, facts, /*aggregate=*/true, battery, false, &stats);
     ++instances;
     if (stats.classes < stats.tasks) ++collapsed;
   }
@@ -237,57 +206,11 @@ TEST_P(PlannerEquivalence, DuplicateSignaturesCollapse) {
   EXPECT_EQ(collapsed, instances);
 }
 
-INSTANTIATE_TEST_SUITE_P(SupplyOnlyAndBatteryBothSolvers,
-                         PlannerEquivalence,
-                         ::testing::Combine(::testing::Bool(),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(SupplyOnlyAndBattery, PlannerEquivalence,
+                         ::testing::Bool());
 
-// A warm-started replanning sequence must reach the same objective as
-// a cold solve of every slot's instance: potentials only steer the
-// search, never the optimum.
-TEST(PlannerWarmStart, SequenceMatchesColdSolves) {
-  const auto facts = test_facts(16);
-  for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-    Rng rng(seed * 101);
-    GreenMatchPolicy warm_policy(24, false, true, false, false);
-    warm_policy.initialize(facts);
-    SlotContext ctx = random_ctx(rng, 24, /*duplicates=*/true,
-                                 /*battery=*/false);
-    for (int step = 0; step < 6; ++step) {
-      const auto warm_decision = warm_policy.decide(ctx);
-      const auto warm_stats = warm_policy.last_plan_stats();
-
-      GreenMatchPolicy::PlanStats cold_stats;
-      plan_once(ctx, facts, true, false, false, kSsp, &cold_stats);
-      ASSERT_EQ(warm_stats.flow, cold_stats.flow)
-          << "seed " << seed << " step " << step;
-      ASSERT_EQ(warm_stats.cost, cold_stats.cost)
-          << "seed " << seed << " step " << step;
-      expect_valid_run_set(ctx, warm_decision);
-      if (step > 0) {
-        EXPECT_TRUE(warm_stats.warm_start);
-      }
-
-      // Advance one slot: shift forecasts, drift work, drop/add tasks.
-      ctx.slot += 1;
-      ctx.start += kSlot;
-      ctx.end += kSlot;
-      std::rotate(ctx.green_forecast_w.begin(),
-                  ctx.green_forecast_w.begin() + 1,
-                  ctx.green_forecast_w.end());
-      for (auto& p : ctx.pending)
-        p.remaining_s = std::max(0.25 * kSlot, p.remaining_s - 600.0);
-      if (!ctx.pending.empty() && rng.uniform_u64(2) == 0)
-        ctx.pending.erase(ctx.pending.begin());
-    }
-    EXPECT_GT(warm_policy.warm_accepts(), 0u) << "seed " << seed;
-  }
-}
-
-// ---- incremental replanning (cost-scaling) --------------------------
-
-/// Advance a context by one slot the way the warm-start test does:
-/// shift forecasts, drift remaining work, occasionally drop a task.
+/// Advances a context by one slot: shift forecasts, drift remaining
+/// work, occasionally drop a task.
 void advance_one_slot(SlotContext& ctx, Rng& rng) {
   ctx.slot += 1;
   ctx.start += kSlot;
@@ -301,72 +224,60 @@ void advance_one_slot(SlotContext& ctx, Rng& rng) {
     ctx.pending.erase(ctx.pending.begin());
 }
 
-/// One incremental decide() must match cold single-shot solves under
-/// both solvers; returns the incremental policy's decision.
-void expect_matches_cold(GreenMatchPolicy& policy,
-                         const SlotContext& ctx,
-                         const ClusterFacts& facts, bool battery,
-                         const char* where) {
+/// One decide() of a replanning `policy` must reach the objective of a
+/// cold single-shot solve of the same instance.
+void expect_matches_cold(GreenMatchPolicy& policy, const SlotContext& ctx,
+                         const ClusterFacts& facts, const char* where) {
   const auto decision = policy.decide(ctx);
-  const auto inc_stats = policy.last_plan_stats();
-  GreenMatchPolicy::PlanStats ssp_stats, cs_stats;
-  plan_once(ctx, facts, true, battery, false, kSsp, &ssp_stats);
-  plan_once(ctx, facts, true, battery, false, kCostScaling, &cs_stats);
-  ASSERT_EQ(inc_stats.flow, ssp_stats.flow) << where;
-  ASSERT_EQ(inc_stats.cost, ssp_stats.cost) << where;
-  ASSERT_EQ(cs_stats.flow, ssp_stats.flow) << where;
-  ASSERT_EQ(cs_stats.cost, ssp_stats.cost) << where;
+  const auto stats = policy.last_plan_stats();
+  GreenMatchPolicy::PlanStats cold_stats;
+  plan_once(ctx, facts, true, false, false, &cold_stats);
+  ASSERT_EQ(stats.flow, cold_stats.flow) << where;
+  ASSERT_EQ(stats.cost, cold_stats.cost) << where;
   expect_valid_run_set(ctx, decision);
 }
 
-// The cost-scaling analogue of PlannerWarmStart: a replanning
-// sequence whose solves patch the previous slot's residual network
-// must reach the same objective as cold solves of every instance —
-// and the patches must actually be accepted, or the suite would only
-// be exercising the rebuild path.
-TEST(PlannerIncremental, SequenceMatchesColdSolves) {
+// A warm-started replanning sequence must reach the same objective as
+// a cold solve of every slot's instance: potentials only steer the
+// search, never the optimum.
+TEST(PlannerWarmStart, SequenceMatchesColdSolves) {
   const auto facts = test_facts(16);
-  std::uint64_t total_accepts = 0;
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-    Rng rng(seed * 131);
-    GreenMatchPolicy policy(24, false, true, false, false);
-    policy.set_solver(kCostScaling);
-    policy.initialize(facts);
+    Rng rng(seed * 101);
+    GreenMatchPolicy warm_policy(24, false, true, false, false);
+    warm_policy.initialize(facts);
     SlotContext ctx = random_ctx(rng, 24, /*duplicates=*/true,
                                  /*battery=*/false);
     for (int step = 0; step < 6; ++step) {
       SCOPED_TRACE(::testing::Message()
                    << "seed " << seed << " step " << step);
-      expect_matches_cold(policy, ctx, facts, /*battery=*/false,
-                          "sequence");
+      expect_matches_cold(warm_policy, ctx, facts, "sequence");
       if (HasFatalFailure()) return;
+      if (step > 0) {
+        EXPECT_TRUE(warm_policy.last_plan_stats().warm_start);
+      }
       advance_one_slot(ctx, rng);
     }
-    total_accepts += policy.incremental_accepts();
-    EXPECT_EQ(policy.incremental_accepts() +
-                  policy.incremental_rebuilds(),
-              6u)
-        << "seed " << seed;
+    EXPECT_GT(warm_policy.warm_accepts(), 0u) << "seed " << seed;
   }
-  // Across 15×6 slots the drift is mild; most replans must patch.
-  EXPECT_GT(total_accepts, 30u);
 }
 
 // A whole task class vanishing between slots (every member finished
-// or was cancelled) removes its class node's arcs and shifts the
-// indices of the classes behind it — a legal patch when small, a
-// cold rebuild otherwise; either way the objective must match cold.
-TEST(PlannerIncremental, ClassDisappearsBetweenSlots) {
+// or was cancelled) removes its class node and shifts the indices of
+// the classes behind it. The next plan must still warm-start — the
+// shifted seed is clamped per edge type, so it is valid by
+// construction — and reach the cold objective.
+TEST(PlannerWarmStart, ClassDisappearsBetweenSlots) {
   const auto facts = test_facts(16);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Rng rng(seed * 313);
     SlotContext ctx = random_ctx(rng, 12, /*duplicates=*/true,
                                  /*battery=*/false);
     if (ctx.pending.size() < 8) continue;
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
     GreenMatchPolicy policy(24, false, true, false, false);
-    policy.set_solver(kCostScaling);
     policy.initialize(facts);
-    expect_matches_cold(policy, ctx, facts, false, "before removal");
+    expect_matches_cold(policy, ctx, facts, "before removal");
     if (HasFatalFailure()) return;
 
     // Erase every task sharing the last task's planner signature —
@@ -377,76 +288,44 @@ TEST(PlannerIncremental, ClassDisappearsBetweenSlots) {
       return p.task.deadline == gone_deadline &&
              p.remaining_s == gone_remaining;
     });
-    expect_matches_cold(policy, ctx, facts, false, "after removal");
+    expect_matches_cold(policy, ctx, facts, "after removal");
     if (HasFatalFailure()) return;
+    EXPECT_TRUE(policy.last_plan_stats().warm_start);
   }
 }
 
-// All green supply vanishing between slots zeroes the supply arcs'
-// capacities without touching their endpoints — the canonical
-// match-only patch; it must be accepted, not rebuilt.
-TEST(PlannerIncremental, SupplyEdgeFlipsToZeroIsPatched) {
+// All green supply vanishing between slots zeroes the green arcs'
+// capacities without touching the network's shape: the next plan must
+// warm-start from the previous potentials and reach the cold objective.
+TEST(PlannerWarmStart, SupplyEdgeFlipsToZero) {
   const auto facts = test_facts(16);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Rng rng(seed * 517);
     SlotContext ctx = random_ctx(rng, 12, /*duplicates=*/true,
                                  /*battery=*/false);
     if (ctx.pending.empty()) continue;
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
     GreenMatchPolicy policy(24, false, true, false, false);
-    policy.set_solver(kCostScaling);
     policy.initialize(facts);
-    expect_matches_cold(policy, ctx, facts, false, "with supply");
+    expect_matches_cold(policy, ctx, facts, "with supply");
     if (HasFatalFailure()) return;
 
     std::fill(ctx.green_forecast_w.begin(),
               ctx.green_forecast_w.end(), 0.0);
-    expect_matches_cold(policy, ctx, facts, false, "without supply");
+    expect_matches_cold(policy, ctx, facts, "without supply");
     if (HasFatalFailure()) return;
-    EXPECT_GE(policy.incremental_accepts(), 1u) << "seed " << seed;
-  }
-}
-
-// Battery arcs retargeting between slots: charge/discharge rates
-// toggling to zero and back, and the state of charge moving, all
-// reshape the storage chain's capacities in place.
-TEST(PlannerIncremental, BatteryEdgeRetargetBetweenSlots) {
-  const auto facts = test_facts(16);
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed * 733);
-    SlotContext ctx = random_ctx(rng, 12, /*duplicates=*/true,
-                                 /*battery=*/true);
-    if (ctx.pending.empty()) continue;
-    GreenMatchPolicy policy(24, false, true, /*battery=*/true, false);
-    policy.set_solver(kCostScaling);
-    policy.initialize(facts);
-    expect_matches_cold(policy, ctx, facts, true, "baseline");
-    if (HasFatalFailure()) return;
-
-    const Watts charge = ctx.battery_max_charge_w;
-    ctx.battery_max_charge_w = 0.0;  // charging disabled this slot
-    ctx.battery_stored_j *= 0.5;
-    expect_matches_cold(policy, ctx, facts, true, "charge disabled");
-    if (HasFatalFailure()) return;
-
-    ctx.battery_max_charge_w = charge;
-    ctx.battery_max_discharge_w = 0.0;  // now the other direction
-    expect_matches_cold(policy, ctx, facts, true, "discharge disabled");
-    if (HasFatalFailure()) return;
-    EXPECT_EQ(policy.incremental_accepts() +
-                  policy.incremental_rebuilds(),
-              3u)
-        << "seed " << seed;
+    EXPECT_TRUE(policy.last_plan_stats().warm_start);
   }
 }
 
 // ---- sharded planning (PR 9) ----------------------------------------
 
-/// Flat reference plan of `ctx` (aggregated, SSP, supply-only knobs as
-/// given) for the sharding comparisons below.
+/// Flat reference plan of `ctx` (aggregated, supply-only) for the
+/// sharding comparisons below.
 SlotDecision plan_flat(const SlotContext& ctx, const ClusterFacts& facts,
                        GreenMatchPolicy::PlanStats* stats) {
   return plan_once(ctx, facts, /*aggregate=*/true, /*battery=*/false,
-                   /*carbon=*/false, kSsp, stats);
+                   /*carbon=*/false, stats);
 }
 
 // scheduler.shards = 1 must be the flat planner *byte for byte*: the
@@ -627,31 +506,28 @@ TEST(PlannerSharding, ReconciliationReclaimsCrossShardGreen) {
 }
 
 // General (contended) instances: sharding is approximate there, but a
-// replanning sequence must stay well-formed under both solvers — valid
-// disjoint run sets, all tasks accounted to exactly one shard, and
-// live per-shard telemetry.
+// replanning sequence must stay well-formed — valid disjoint run sets,
+// all tasks accounted to exactly one shard, and live per-shard
+// telemetry.
 TEST(PlannerSharding, ContendedSequenceStaysValid) {
   const auto facts = test_facts(24);
-  for (const bool cost_scaling : {false, true}) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      Rng rng(seed * 2203 + (cost_scaling ? 1 : 0));
-      GreenMatchPolicy policy(24, false, true, false, false);
-      if (cost_scaling) policy.set_solver(kCostScaling);
-      policy.set_shards(4);
-      policy.initialize(facts);
-      SlotContext ctx = random_ctx(rng, 24, /*duplicates=*/true,
-                                   /*battery=*/false);
-      for (int step = 0; step < 4; ++step) {
-        const auto decision = policy.decide(ctx);
-        expect_valid_run_set(ctx, decision);
-        advance_one_slot(ctx, rng);
-      }
-      const auto stats = policy.shard_stats();
-      ASSERT_EQ(stats.size(), 4u);
-      std::uint64_t solves = 0;
-      for (const auto& st : stats) solves += st.solves;
-      EXPECT_GT(solves, 0u) << "no shard ever solved";
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed * 2203);
+    GreenMatchPolicy policy(24, false, true, false, false);
+    policy.set_shards(4);
+    policy.initialize(facts);
+    SlotContext ctx = random_ctx(rng, 24, /*duplicates=*/true,
+                                 /*battery=*/false);
+    for (int step = 0; step < 4; ++step) {
+      const auto decision = policy.decide(ctx);
+      expect_valid_run_set(ctx, decision);
+      advance_one_slot(ctx, rng);
     }
+    const auto stats = policy.shard_stats();
+    ASSERT_EQ(stats.size(), 4u);
+    std::uint64_t solves = 0;
+    for (const auto& st : stats) solves += st.solves;
+    EXPECT_GT(solves, 0u) << "no shard ever solved";
   }
 }
 

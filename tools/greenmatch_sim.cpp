@@ -195,19 +195,6 @@ int main(int argc, char** argv) {
             << "  zero paths: " << s.solver_zero_paths << '\n'
             << "  arena bytes (peak): " << s.solver_arena_bytes_peak
             << '\n';
-        // Cost-scaling line only when that solver actually ran — the
-        // default SSP stanza keeps its pre-PR 8 shape.
-        if (s.solver_incremental_accepts + s.solver_incremental_rebuilds >
-            0) {
-          out << "  cost-scaling phases: " << s.solver_cs_phases
-              << "  pushes: " << s.solver_cs_pushes
-              << "  relabels: " << s.solver_cs_relabels
-              << "  price refinements: " << s.solver_cs_price_refinements
-              << '\n'
-              << "  incremental accepts: "
-              << s.solver_incremental_accepts
-              << "  rebuilds: " << s.solver_incremental_rebuilds << '\n';
-        }
       }
       // Admission fast-path stanza for open-system runs — gated on the
       // recorder like the planner stanza, so plain summaries stay
