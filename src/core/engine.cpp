@@ -447,13 +447,21 @@ std::vector<std::size_t> SimulationEngine::assign_tasks(
                 active_count
           : 0.0;
   const int task_slots = config_.cluster.node.task_slots;
-  free_slots_.resize(cluster_.node_count());
-  node_util_.resize(cluster_.node_count());
-  for (storage::NodeId n = 0; n < cluster_.node_count(); ++n) {
-    const bool on = active[n];
-    free_slots_[n] = on ? task_slots : 0;
-    node_util_[n] = on ? fg_share : 0.0;
+  // Only active nodes are read, so a node's room is filled when this
+  // slot first reads it instead of refilling the whole fleet. A replica
+  // woken below was asleep until then, so it is filled on its first
+  // read too.
+  node_room_.resize(cluster_.node_count());
+  if (++assign_stamp_ == 0) {
+    for (NodeRoom& r : node_room_) r.stamp = 0;
+    assign_stamp_ = 1;
   }
+  const auto room = [&](storage::NodeId n) -> NodeRoom& {
+    NodeRoom& r = node_room_[n];
+    if (r.stamp != assign_stamp_)
+      r = NodeRoom{assign_stamp_, task_slots, fg_share};
+    return r;
+  };
 
   std::vector<std::size_t> running;
   const Seconds slot_len = static_cast<Seconds>(config_.slot_length_s);
@@ -477,13 +485,14 @@ std::vector<std::size_t> SimulationEngine::assign_tasks(
       double best_util = 1e18;
       for (storage::NodeId n :
            cluster_.placement().replicas(p.task.group)) {
-        if (!active[n] || free_slots_[n] <= 0) continue;
-        if (node_util_[n] + p.task.utilization >
-            config_.max_utilization_per_node)
+        if (!active[n]) continue;
+        const NodeRoom& r = room(n);
+        if (r.free_slots <= 0) continue;
+        if (r.util + p.task.utilization > config_.max_utilization_per_node)
           continue;
         if (n == p.assigned_node && p.running) return n;  // sticky
-        if (node_util_[n] < best_util) {
-          best_util = node_util_[n];
+        if (r.util < best_util) {
+          best_util = r.util;
           best = n;
         }
       }
@@ -496,11 +505,7 @@ std::vector<std::size_t> SimulationEngine::assign_tasks(
       // power manager's forced-energy channel).
       const storage::NodeId woken = power_.wake_sleeping_replica(
           p.task.group, now, slots_.slot_of(now));
-      if (woken != storage::kInvalidNode) {
-        free_slots_[woken] = task_slots;
-        node_util_[woken] = fg_share;
-        best = find_candidate();
-      }
+      if (woken != storage::kInvalidNode) best = find_candidate();
     }
     if (best == storage::kInvalidNode) {
       ++assignment_failures_;
@@ -513,8 +518,9 @@ std::vector<std::size_t> SimulationEngine::assign_tasks(
     }
     p.assigned_node = best;
     p.running = true;
-    --free_slots_[best];
-    node_util_[best] += p.task.utilization;
+    NodeRoom& r = node_room_[best];
+    --r.free_slots;
+    r.util += p.task.utilization;
     running.push_back(i);
   }
   return running;

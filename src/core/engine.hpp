@@ -200,11 +200,17 @@ class SimulationEngine {
   SlotGrid slots_;
   /// Rolling per-slot observation buffer (see make_context).
   SlotContext ctx_;
-  /// assign_tasks scratch, refilled every slot: the policy's run set
-  /// and each node's free task slots and utilization.
+  /// assign_tasks scratch: the policy's run set, refilled every slot,
+  /// and each node's free task slots and utilization, filled the first
+  /// time a slot reads the node (`stamp` == assign_stamp_).
+  struct NodeRoom {
+    std::uint32_t stamp = 0;
+    int free_slots = 0;
+    double util = 0.0;
+  };
   IdSet run_set_;
-  std::vector<int> free_slots_;
-  std::vector<double> node_util_;
+  std::vector<NodeRoom> node_room_;
+  std::uint32_t assign_stamp_ = 0;
 
   // Pending pool and task bookkeeping.
   std::vector<PendingTask> pending_;

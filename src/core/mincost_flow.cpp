@@ -144,8 +144,8 @@ MinCostFlow::Result MinCostFlow::run_ssp(NodeIdx s, NodeIdx t,
 
   Result result;
   // Pops of the previous zero walk that the next one replays: 0 starts
-  // afresh from s; after a zero path, the pop of the earliest-popped
-  // tail of an arc it saturated (docs/solver.md §SSP, "Resume").
+  // afresh from s; kUnseen keeps the whole repaired log, which still
+  // reaches t (docs/solver.md §SSP, "Repair").
   int keep = 0;
   while (result.flow < max_flow) {
     ++last_stats_.dijkstra_runs;
@@ -167,27 +167,92 @@ MinCostFlow::Result MinCostFlow::run_ssp(NodeIdx s, NodeIdx t,
     }
     ++last_stats_.augmenting_paths;
 
-    // Bottleneck along the path.
+    // Bottleneck along the path. A simple path has at most n-1 arcs; a
+    // longer walk means the predecessor arcs loop, which must fail
+    // loudly rather than spin.
     long long push = max_flow - result.flow;
-    for (NodeIdx v = t; v != s; v = tail(prev_arc_[v]))
+    int length = 0;
+    for (NodeIdx v = t; v != s; v = tail(prev_arc_[v])) {
+      ++length;
+      GM_ASSERT_MSG(length < node_count_, "predecessor arcs form a cycle");
       push = std::min(push, arcs_[prev_arc_[v]].capacity);
+    }
     GM_ASSERT(push > 0);
 
-    keep = zero ? kUnseen : 0;
-    for (NodeIdx v = t; v != s;) {
+    NodeIdx v = t;
+    for (int i = 0; i < length; ++i) {
       Arc& arc = arcs_[prev_arc_[v]];
       arc.capacity -= push;
       arcs_[arc.rev].capacity += push;
       result.cost += push * arc.cost;
       v = arcs_[arc.rev].to;
-      if (arc.capacity == 0) keep = std::min(keep, pop_index_[v]);
     }
+    GM_ASSERT(v == s);
     result.flow += push;
+    keep = zero ? repair_log(t, length) : 0;
   }
   return result;
 }
 
+int MinCostFlow::repair_log(NodeIdx t, int length) {
+  // Each saturated path arc u→v was v's discovery arc. The path's pops
+  // increase from s to t, so the windows [pop(u), pop(v)) of its
+  // saturated arcs are disjoint, and a walk on the new residual network
+  // repeats the log up to the first head it cannot rediscover. A
+  // saturated arc into t is not repaired: the walk stopped at it inside
+  // pop(u), and the next walk re-pops u.
+  int keep = kUnseen;
+  NodeIdx v = t;
+  for (int i = 0; i < length; ++i) {
+    const int lost = prev_arc_[v];
+    const NodeIdx u = tail(lost);
+    if (arcs_[lost].capacity == 0 && (v == t || !rediscover(v, lost))) {
+      disc_pop_[v] = kUnseen;
+      keep = std::min(keep, pop_index_[v == t ? u : v]);
+    }
+    v = u;
+  }
+  return keep;
+}
+
+bool MinCostFlow::rediscover(NodeIdx v, int lost) {
+  // v was popped after u. Its new discoverer is the earliest pop in
+  // [pop(u), pop(v)) with a zero-cost residual arc into v, through
+  // that pop's first such arc; any pop before pop(u) with one would
+  // have discovered v first.
+  const NodeIdx u = tail(lost);
+  const int pop_u = pop_index_[u];
+  GM_ASSERT(disc_pop_[v] == pop_u);
+  std::uint64_t relaxations = 0;
+  int best_pop = pop_index_[v];
+  int best_arc = -1;
+  for (int b = first_[v]; b < first_[v + 1]; ++b) {
+    const int a = arcs_[b].rev;  // q→v
+    if (arcs_[a].capacity <= 0) continue;
+    ++relaxations;
+    const NodeIdx q = arcs_[b].to;
+    if (arcs_[a].cost + potential_[q] - potential_[v] != 0) continue;
+    const int pop_q = pop_index_[q];
+    GM_ASSERT_MSG(pop_q >= pop_u && (q != u || a > lost),
+                  "zero arc into a node ahead of its discovery arc");
+    if (pop_q < best_pop || (pop_q == best_pop && a < best_arc)) {
+      best_pop = pop_q;
+      best_arc = a;
+    }
+  }
+  last_stats_.dijkstra_relaxations += relaxations;
+  if (best_arc < 0) return false;
+  disc_pop_[v] = best_pop;
+  prev_arc_[v] = best_arc;
+  return true;
+}
+
 bool MinCostFlow::zero_search(NodeIdx t, int keep) {
+  if (keep == kUnseen) {
+    // The repaired log is the walk: its predecessor arcs spell the path.
+    GM_ASSERT(disc_pop_[t] != kUnseen);
+    return true;
+  }
   GM_ASSERT(keep >= 0 && static_cast<std::size_t>(keep) <= order_.size());
   // Replay: pops [0, keep) and their discoveries stand; every node they
   // discovered but did not pop goes back on the frontier.

@@ -9,8 +9,10 @@
 // the potentials do not move. Each search therefore first walks the
 // zero-reduced-cost residual arcs from the source, lowest node index
 // first, and runs the heap Dijkstra only when that walk misses the
-// sink. The walk finds exactly the path the Dijkstra would, so flows,
-// costs and potentials match a Dijkstra-per-path solver bit for bit
+// sink. After a zero path the walk's log is repaired in place, so the
+// next search replays only what the path changed, or nothing at all.
+// The walk finds exactly the path the Dijkstra would, so flows, costs
+// and potentials match a Dijkstra-per-path solver bit for bit
 // (docs/solver.md §SSP; tests/test_core_mincostflow.cpp keeps that
 // solver as the oracle).
 //
@@ -71,12 +73,15 @@ class MinCostFlow {
     std::uint64_t arcs = 0;       ///< externally added arcs
     std::uint64_t classes = 0;    ///< task classes (planner-stamped)
     /// Path searches: one per augmentation, plus the failing one that
-    /// ends a solve short of max_flow.
+    /// ends a solve short of max_flow. A search answered by the
+    /// repaired log counts here and pops nothing.
     std::uint64_t dijkstra_runs = 0;
     /// Frontier pops of the zero-cost walk plus heap pops of the
     /// Dijkstra that continues it after a miss.
     std::uint64_t dijkstra_pops = 0;
-    std::uint64_t dijkstra_relaxations = 0;  ///< residual arcs scanned
+    /// Residual arcs scanned by the walk, the log repair and the
+    /// Dijkstra.
+    std::uint64_t dijkstra_relaxations = 0;
     std::uint64_t augmenting_paths = 0;
     /// Augmenting paths of zero reduced cost, found without a Dijkstra.
     std::uint64_t zero_paths = 0;
@@ -140,8 +145,19 @@ class MinCostFlow {
   Result run_ssp(NodeIdx s, NodeIdx t, long long max_flow);
   /// Walks zero-reduced-cost residual arcs from s, lowest index first,
   /// after replaying the previous walk's first `keep` pops. Returns
-  /// true when it discovers t (prev_arc_ then spells the path).
+  /// true when it discovers t (prev_arc_ then spells the path). With
+  /// `keep` = kUnseen the repaired log already reaches t: no pop.
   bool zero_search(NodeIdx t, int keep);
+  /// After a zero path of `length` arcs into t: gives each head of a
+  /// saturated arc but t the discovery a walk on the new residual
+  /// network would, or marks it unseen; a saturated arc into t always
+  /// marks t unseen. Returns the next zero_search()'s `keep`: kUnseen
+  /// when every head was rediscovered, else the pop where that walk
+  /// first departs from the log.
+  int repair_log(NodeIdx t, int length);
+  /// Rediscovers `v` (not t), whose discovery arc `lost` just
+  /// saturated; returns false if no pop before v's reaches it any more.
+  bool rediscover(NodeIdx v, int lost);
   /// After a zero_search() miss: the heap Dijkstra from where the walk
   /// stopped. Returns true iff t is reachable; dist_ holds the labels.
   bool dijkstra_from_walk(NodeIdx t);

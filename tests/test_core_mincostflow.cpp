@@ -339,6 +339,40 @@ TEST(MinCostFlow, SolveStatsCountWork) {
   EXPECT_EQ(st.classes, 0u);
 }
 
+TEST(MinCostFlow, FullyRepairedLogAnswersTheNextSearch) {
+  // s=0 reaches v=3 through a=1 and b=2, and v feeds t=4, all at cost
+  // 0. The walk pops s, a, b, v and sends one unit over s→a→v→t, which
+  // saturates a→v.
+  // b was popped after a and before v and still has a zero arc to v,
+  // so the repaired log reaches t through b: the second search pops
+  // nothing.
+  const auto build = [](MinCostFlow& f) {
+    f.reset(5);
+    f.add_edge(0, 1, 2, 0);
+    f.add_edge(0, 2, 2, 0);
+    const int av = f.add_edge(1, 3, 1, 0);
+    const int bv = f.add_edge(2, 3, 1, 0);
+    f.add_edge(3, 4, 2, 0);
+    return std::pair{av, bv};
+  };
+  MinCostFlow f(1);
+  build(f);
+  ASSERT_EQ(f.solve(0, 4, 1).flow, 1);
+  const auto first_walk = f.last_stats().dijkstra_pops;
+  EXPECT_EQ(first_walk, 4u);
+
+  const auto [av, bv] = build(f);
+  const auto r = f.solve(0, 4, 2);
+  EXPECT_EQ(r.flow, 2);
+  EXPECT_EQ(r.cost, 0);
+  EXPECT_EQ(f.flow_on(av), 1);
+  EXPECT_EQ(f.flow_on(bv), 1);
+  const auto& st = f.last_stats();
+  EXPECT_EQ(st.dijkstra_runs, 2u);
+  EXPECT_EQ(st.zero_paths, 2u);
+  EXPECT_EQ(st.dijkstra_pops, first_walk);
+}
+
 TEST(MinCostFlow, SolveStatsResetPerSolveAndMarkWarm) {
   MinCostFlow f(2);
   f.add_edge(0, 1, 5, 3);
@@ -666,6 +700,102 @@ OracleNet planner_oracle_net(Rng& rng, bool battery) {
   return net;
 }
 
+/// The branches of the log repair after a zero path (docs/solver.md
+/// §SSP, "Repair"), each reached by the first augmentation of a cold
+/// solve of repair_oracle_net().
+enum class Repair {
+  kLaterPop,         ///< a head rediscovered by a later pop
+  kParallelArc,      ///< a head rediscovered by a later parallel arc
+  kSinkLost,         ///< a saturated sink arc, never rediscovered
+  kOneOfTwo,         ///< two saturated arcs: one head rediscovered
+  kLaterPopIgnored,  ///< a zero arc from a pop after the head's own
+};
+
+struct RepairNet {
+  OracleNet net;
+  long long first_push = 0;  ///< flow of the first (zero) path
+  bool log_kept = false;     ///< the second search pops nothing
+};
+
+/// A cost-0 motif whose first zero path saturates exactly the arcs of
+/// `motif` (capacity `c`; every other motif arc is wider), followed by
+/// seeded positive-cost edges over the motif and a few extra nodes.
+/// Those edges come after the motif's in every adjacency block and
+/// cost more than 0, so the cold solve's first walk and repair are the
+/// motif's; the Dijkstras they force later reprice the network.
+RepairNet repair_oracle_net(Rng& rng, Repair motif) {
+  const auto draw = [&](long long lo, long long hi) {
+    return lo + static_cast<long long>(
+                    rng.uniform_u64(static_cast<std::uint64_t>(hi - lo + 1)));
+  };
+  const long long c = draw(1, 4);
+  const auto wide = [&] { return draw(c + 1, c + 8); };
+  RepairNet rn;
+  rn.first_push = c;
+  OracleNet& net = rn.net;
+  auto& e = net.edges;
+  switch (motif) {
+    case Repair::kLaterPop:
+      // Pops s, a, b, v; a→v saturates and b (popped between a and v)
+      // rediscovers v.
+      net.nodes = 5;  // s=0 a=1 b=2 v=3 t=4
+      e = {{0, 1, wide(), 0}, {0, 2, wide(), 0}, {1, 3, c, 0},
+           {2, 3, wide(), 0}, {3, 4, wide(), 0}};
+      rn.log_kept = true;
+      break;
+    case Repair::kParallelArc: {
+      // The first of three parallel a→v arcs saturates; the second,
+      // not the third, rediscovers v. s→a admits both the first two.
+      net.nodes = 4;  // s=0 a=1 v=2 t=3
+      const long long c2 = draw(1, 4);
+      e = {{0, 1, c + c2, 0}, {1, 2, c, 0}, {1, 2, c2, 0},
+           {1, 2, draw(1, 4), 0}, {2, 3, c + c2 + 8, 0}};
+      rn.log_kept = true;
+      break;
+    }
+    case Repair::kSinkLost:
+      // u's only arc to t saturates; the next walk re-pops u and goes
+      // through x.
+      net.nodes = 4;  // s=0 u=1 x=2 t=3
+      e = {{0, 1, wide(), 0}, {1, 3, c, 0}, {1, 2, wide(), 0},
+           {2, 3, wide(), 0}};
+      break;
+    case Repair::kOneOfTwo:
+      // Pops s, a, b, v, w; a→v and v→w saturate. b rediscovers v, no
+      // pop in [pop(v), pop(w)) rediscovers w, so the next walk resumes
+      // at pop(w) with the repaired v and goes through y.
+      net.nodes = 7;  // s=0 a=1 b=2 v=3 w=4 y=5 t=6
+      e = {{0, 1, wide(), 0}, {0, 2, wide(), 0}, {1, 3, c, 0},
+           {2, 3, wide(), 0}, {3, 4, c, 0},      {3, 5, wide(), 0},
+           {4, 6, wide(), 0}, {5, 6, wide(), 0}};
+      break;
+    case Repair::kLaterPopIgnored:
+      // Pops s, a, v, q, w; a→v saturates. q and w, both popped after
+      // v and both discovered through it, have zero arcs back to v
+      // (q→v, and w→v once v→w carries flow); neither may rediscover
+      // v, so the next walk resumes at pop(v) and goes through z.
+      net.nodes = 7;  // s=0 a=1 v=2 q=3 w=4 z=5 t=6
+      e = {{0, 1, wide(), 0}, {1, 2, c, 0},      {2, 3, wide(), 0},
+           {3, 2, wide(), 0}, {2, 4, wide(), 0}, {4, 6, wide(), 0},
+           {0, 5, wide(), 0}, {5, 6, wide(), 0}};
+      break;
+  }
+  net.s = 0;
+  net.t = net.nodes - 1;
+  const int motif_nodes = net.nodes;
+  net.nodes += static_cast<int>(rng.uniform_u64(4));
+  const int extra = static_cast<int>(draw(0, 3 * motif_nodes));
+  for (int i = 0; i < extra; ++i) {
+    const int a = static_cast<int>(
+        rng.uniform_u64(static_cast<std::uint64_t>(net.nodes)));
+    const int b = static_cast<int>(
+        rng.uniform_u64(static_cast<std::uint64_t>(net.nodes)));
+    e.push_back({a, b, draw(0, 8), draw(1, 6)});
+  }
+  if (rng.bernoulli(0.3)) net.max_flow = draw(c + 1, 4 * (c + 8));
+  return rn;
+}
+
 /// The textbook optimality certificate of a min-cost flow, checked on
 /// the residual network rebuilt from `net` and f.flow_on() alone, so it
 /// holds the solver to the optimum without trusting any solver: the
@@ -830,6 +960,36 @@ TEST_P(ZeroPathOracle, PlannerNetworksMatchDijkstraPerPath) {
                             "seed " + std::to_string(GetParam()) +
                                 (battery ? " battery" : " supply-only") +
                                 " net " + std::to_string(i));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_P(ZeroPathOracle, RepairBranchesMatchDijkstraPerPath) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 6'007 + 5);
+  MinCostFlow f(1);
+  for (const Repair motif :
+       {Repair::kLaterPop, Repair::kParallelArc, Repair::kSinkLost,
+        Repair::kOneOfTwo, Repair::kLaterPopIgnored}) {
+    const RepairNet rn = repair_oracle_net(rng, motif);
+    const std::string label = "seed " + std::to_string(GetParam()) +
+                              " motif " +
+                              std::to_string(static_cast<int>(motif));
+    // The branch is reached: after the first path, the second search
+    // is answered from the repaired log exactly when every saturated
+    // head was rediscovered.
+    const auto pops_for = [&](long long flow) {
+      f.reset(rn.net.nodes);
+      for (const auto& e : rn.net.edges) f.add_edge(e.a, e.b, e.cap, e.cost);
+      EXPECT_EQ(f.solve(rn.net.s, rn.net.t, flow).flow, flow) << label;
+      EXPECT_EQ(f.last_stats().zero_paths, f.last_stats().dijkstra_runs)
+          << label;
+      return f.last_stats().dijkstra_pops;
+    };
+    const auto first = pops_for(rn.first_push);
+    const auto second = pops_for(rn.first_push + 1) - first;
+    EXPECT_EQ(second == 0, rn.log_kept) << label << ": " << second;
+
+    expect_all_starts_match(f, rng, rn.net, label);
     if (HasFatalFailure()) return;
   }
 }
