@@ -9,6 +9,7 @@
 #include "core/policies.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gm::core {
 
@@ -150,23 +151,63 @@ SimulationEngine::SimulationEngine(const ExperimentConfig& config,
 
   // Requests are routed in index order (route_requests) and tasks are
   // released in index order (admit_released_tasks), so both must come
-  // sorted. The request check rides on the fg_util_ pass.
+  // sorted. Sorted requests put each slot's requests in one run, and
+  // the pool sums each run, from 0.0 in request order, in the block
+  // where it starts: the serial fold's sums, whatever the thread
+  // count. They land in fg_util_ once every block has passed the
+  // order check.
+  const auto& requests = workload_->requests;
   const auto& disk = config_.cluster.node.disk;
-  SimTime last_arrival = 0;
-  for (const auto& r : workload_->requests) {
+  const auto slot_of = [&](std::size_t i) {
+    return static_cast<std::size_t>(slots_.slot_of(requests[i].arrival));
+  };
+  struct BlockPass {
+    std::size_t unsorted;  ///< first request before its predecessor
+    std::vector<std::pair<std::size_t, double>> runs;  ///< (slot, sum)
+  };
+  const std::size_t block = workload::kRequestBlock;
+  std::vector<BlockPass> passes((requests.size() + block - 1) / block);
+  parallel_for(passes.size(), [&](std::size_t b) {
+    const std::size_t begin = b * block;
+    const std::size_t end = std::min(requests.size(), begin + block);
+    BlockPass& pass = passes[b];
+    pass.unsorted = requests.size();
+    for (std::size_t i = begin; i < end; ++i) {
+      if (requests[i].arrival < (i == 0 ? 0 : requests[i - 1].arrival)) {
+        pass.unsorted = i;
+        return;
+      }
+    }
+    std::size_t i = begin;
+    if (i > 0) {  // the run that started in an earlier block
+      const std::size_t earlier = slot_of(i - 1);
+      while (i < end && slot_of(i) == earlier) ++i;
+    }
+    while (i < end) {
+      const std::size_t s = slot_of(i);
+      double sum = 0.0;
+      for (; i < requests.size() && slot_of(i) == s; ++i) {
+        const double service =
+            disk.avg_seek_s + static_cast<double>(requests[i].size_bytes) /
+                                  disk.bandwidth_bytes_per_s;
+        sum += service * config_.foreground_cpu_factor /
+               static_cast<double>(config_.slot_length_s);
+      }
+      if (s < fg_util_.size()) pass.runs.emplace_back(s, sum);
+    }
+  });
+  for (const BlockPass& pass : passes) {
+    if (pass.unsorted == requests.size()) continue;
+    const storage::IoRequest& r = requests[pass.unsorted];
+    const SimTime last_arrival =
+        pass.unsorted == 0 ? 0 : requests[pass.unsorted - 1].arrival;
     GM_CHECK(r.arrival >= last_arrival,
              "workload requests must be sorted by arrival, starting at "
              "0: request " << r.id << " arrives at " << r.arrival
                            << " after " << last_arrival);
-    last_arrival = r.arrival;
-    const double service =
-        disk.avg_seek_s +
-        static_cast<double>(r.size_bytes) / disk.bandwidth_bytes_per_s;
-    const auto s = static_cast<std::size_t>(slots_.slot_of(r.arrival));
-    if (s < fg_util_.size())
-      fg_util_[s] += service * config_.foreground_cpu_factor /
-                     static_cast<double>(config_.slot_length_s);
   }
+  for (const BlockPass& pass : passes)
+    for (const auto& [s, sum] : pass.runs) fg_util_[s] = sum;
   const auto& tasks = workload_->tasks;
   const auto unsorted = std::adjacent_find(
       tasks.begin(), tasks.end(),

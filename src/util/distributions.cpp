@@ -1,11 +1,16 @@
 #include "util/distributions.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "util/assert.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gm {
 
@@ -149,22 +154,150 @@ double ZipfSampler::pmf(std::size_t k) const {
   return k == 0 ? cdf[0] : cdf[k] - cdf[k - 1];
 }
 
+namespace {
+
+/// The mean of a Poisson count plus six standard deviations and 64.
+double poisson_bound(double mean) {
+  return mean + 6.0 * std::sqrt(mean) + 64.0;
+}
+
+}  // namespace
+
+std::size_t nhpp_capacity(double t0, double t1, double rate_max,
+                          const std::function<double(double)>& rate) {
+  GM_CHECK(t1 >= t0, "NHPP interval must be ordered");
+  const double cell = (t1 - t0) / kNhppCapacityCells;
+  double sum = 0.0;
+  for (int i = 0; i < kNhppCapacityCells; ++i)
+    sum += std::max(0.0, rate(t0 + (i + 0.5) * cell));
+  const double mean = std::min(sum * cell, rate_max * (t1 - t0));
+  return static_cast<std::size_t>(std::ceil(poisson_bound(mean)));
+}
+
 std::vector<double> sample_nhpp(Rng& rng, double t0, double t1,
                                 double rate_max,
                                 const std::function<double(double)>& rate) {
   GM_CHECK(t1 >= t0, "NHPP interval must be ordered");
   GM_CHECK(rate_max > 0.0, "NHPP rate bound must be positive");
   std::vector<double> arrivals;
+  arrivals.reserve(nhpp_capacity(t0, t1, rate_max, rate));
+
+  // The calling thread runs the serial chain: it draws each block's
+  // uniforms, adds its gaps in candidate order once they are computed,
+  // and hands the block on to be thinned. Both block steps are offered
+  // to one transient pool, and whoever claims a step first runs it:
+  // the calling thread runs any step no worker has started, so a
+  // starved pool costs no more than doing the work inline. On a worker
+  // of any pool, or for a one-block wave, every step runs inline.
+  const bool inline_only = on_pool_worker();
+  std::optional<ThreadPool> pool;
+  std::vector<double> times;   // a wave's gap uniforms, gaps, then sums
+  std::vector<double> thin_u;  // a wave's thinning uniforms
+  std::vector<Rng> start(kNhppWaveBlocks);
+  std::vector<std::size_t> inside_end(kNhppWaveBlocks);
+  std::vector<std::size_t> kept(kNhppWaveBlocks);
+  const auto gaps_claimed =
+      std::make_unique<std::atomic<bool>[]>(kNhppWaveBlocks);
+  const auto gaps_done =
+      std::make_unique<std::atomic<bool>[]>(kNhppWaveBlocks);
+  const auto thin_claimed =
+      std::make_unique<std::atomic<bool>[]>(kNhppWaveBlocks);
+
+  // sample_exponential's expression, bit for bit.
+  const auto compute_gaps = [&](std::size_t b) {
+    if (gaps_claimed[b].exchange(true)) return false;
+    double* gap = times.data() + b * kNhppBlock;
+    for (std::size_t c = 0; c < kNhppBlock; ++c)
+      gap[c] = -std::log(1.0 - gap[c]) / rate_max;
+    gaps_done[b] = true;
+    gaps_done[b].notify_one();
+    return true;
+  };
+  const auto thin = [&](std::size_t b) {
+    if (thin_claimed[b].exchange(true)) return;
+    // The block's own copy, made on its own thread: copies made side
+    // by side would share cache lines if the rate keeps state.
+    std::function<double(double)> rate_of = rate;
+    std::size_t out = b * kNhppBlock;
+    for (std::size_t i = b * kNhppBlock; i < inside_end[b]; ++i) {
+      const double ti = times[i];
+      const double r_t = rate_of(ti);
+      GM_ASSERT_MSG(r_t <= rate_max * (1.0 + 1e-9),
+                    "NHPP rate exceeds declared bound at t=" << ti);
+      if (thin_u[i] * rate_max < r_t) times[out++] = ti;
+    }
+    kept[b] = out - b * kNhppBlock;
+  };
+
+  Rng cursor = rng;  // the stream at the next block's first candidate
   double t = t0;
   while (true) {
-    t += sample_exponential(rng, rate_max);
-    if (t >= t1) break;
-    const double r = rate(t);
-    GM_ASSERT_MSG(r <= rate_max * (1.0 + 1e-9),
-                  "NHPP rate exceeds declared bound at t=" << t);
-    if (rng.uniform() * rate_max < r) arrivals.push_back(t);
+    // Size the wave to the candidates still expected.
+    const double expected = poisson_bound(rate_max * (t1 - t));
+    const auto blocks = static_cast<std::size_t>(std::ceil(std::min(
+        expected / kNhppBlock, static_cast<double>(kNhppWaveBlocks))));
+    const std::size_t count = blocks * kNhppBlock;
+    if (times.size() < count) {
+      times.resize(count);
+      thin_u.resize(count);
+    }
+    std::optional<ThreadPool::Batch> batch;
+    if (blocks > 1 && !inline_only) {
+      if (!pool) pool.emplace();
+      batch.emplace(*pool);
+    }
+
+    for (std::size_t b = 0; b < blocks; ++b) {
+      start[b] = cursor;
+      const std::size_t begin = b * kNhppBlock;
+      for (std::size_t i = begin; i < begin + kNhppBlock; ++i) {
+        times[i] = cursor.uniform();
+        thin_u[i] = cursor.uniform();
+      }
+      gaps_claimed[b] = false;
+      gaps_done[b] = false;
+      thin_claimed[b] = false;
+      if (batch) batch->submit([&, b] { compute_gaps(b); });
+    }
+
+    // The serial loop's own sums, block by block, stopping at the
+    // first t >= t1; each block is thinned once its sums are in.
+    std::size_t inside = 0;
+    std::size_t thinned = 0;
+    bool stopped = false;
+    while (!stopped && thinned < blocks) {
+      const std::size_t b = thinned;
+      if (!compute_gaps(b)) gaps_done[b].wait(false);
+      for (const std::size_t end = (b + 1) * kNhppBlock; inside < end;
+           ++inside) {
+        t += times[inside];
+        if (t >= t1) {
+          stopped = true;
+          break;
+        }
+        times[inside] = t;
+      }
+      if (inside == b * kNhppBlock) break;  // stopped on its first
+      inside_end[b] = inside;
+      ++thinned;
+      if (batch) batch->submit([&, b] { thin(b); });
+    }
+    for (std::size_t b = 0; b < thinned; ++b) thin(b);
+    if (batch) batch->wait();
+    for (std::size_t b = 0; b < thinned; ++b) {
+      const double* survivors = times.data() + b * kNhppBlock;
+      arrivals.insert(arrivals.end(), survivors, survivors + kept[b]);
+    }
+
+    if (stopped) {
+      // 2K + 1 outputs: two per candidate inside, one for the gap of
+      // the candidate that stopped the process.
+      rng = start[inside / kNhppBlock];
+      for (std::size_t i = 0; i < 2 * (inside % kNhppBlock) + 1; ++i)
+        rng.next();
+      return arrivals;
+    }
   }
-  return arrivals;
 }
 
 }  // namespace gm

@@ -88,9 +88,37 @@ class ZipfSampler {
   double s_;
 };
 
+/// sample_nhpp's work split: thinning candidates are drawn in blocks
+/// of kNhppBlock, and up to kNhppWaveBlocks blocks (2 MB of candidate
+/// times) make one wave.
+inline constexpr std::size_t kNhppBlock = 16384;
+inline constexpr std::size_t kNhppWaveBlocks = 16;
+inline constexpr int kNhppCapacityCells = 4096;
+
+/// A capacity for the arrivals sample_nhpp draws on [t0, t1): the
+/// rate's integral by the midpoint rule on kNhppCapacityCells equal
+/// cells, at most rate_max · (t1 - t0), plus a Poisson margin of six
+/// standard deviations and 64. It sizes buffers and never output: a
+/// rate that peaks between cell midpoints can draw more. Calls `rate`
+/// in increasing t.
+std::size_t nhpp_capacity(double t0, double t1, double rate_max,
+                          const std::function<double(double)>& rate);
+
 /// Draws arrival times of a non-homogeneous Poisson process on
 /// [t0, t1) with instantaneous rate `rate(t)` (events per second),
-/// bounded above by `rate_max`, using Lewis–Shedler thinning.
+/// bounded above by `rate_max`, using Lewis–Shedler thinning: each
+/// candidate takes two outputs of `rng`, an exponential gap and then
+/// a thinning uniform, and the first candidate at or past t1 takes
+/// only its gap. The output and the final state of `rng` are those of
+/// the serial loop (kept as the tests' oracle), but the costly work is
+/// parallel: the calling thread draws each block's uniforms, blocks
+/// turn them into gaps, the calling thread adds the gaps in candidate
+/// order (the loop's own sums), and the blocks then thin their
+/// candidates. It runs in waves on one transient pool, where the
+/// calling thread also runs any block step no worker has started, and
+/// inline on a worker of any ThreadPool. Each block calls its own copy
+/// of `rate`, in increasing t, so copies must share no mutable state;
+/// a per-copy cache is safe.
 std::vector<double> sample_nhpp(Rng& rng, double t0, double t1,
                                 double rate_max,
                                 const std::function<double(double)>& rate);

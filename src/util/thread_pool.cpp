@@ -137,12 +137,39 @@ void parallel_for(std::size_t n,
   // On a worker of any pool (a sweep point, a bench fan-out) every
   // core already has work, so a transient pool would only
   // oversubscribe the machine; a single index needs no pool either.
-  if (tl_worker_pool != nullptr || n <= 1) {
+  if (on_pool_worker() || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
   ThreadPool pool;
   parallel_for(pool, n, body);
+}
+
+bool on_pool_worker() { return tl_worker_pool != nullptr; }
+
+void run_beside(const std::function<void()>& task,
+                const std::function<void()>& body) {
+  if (on_pool_worker()) {
+    task();
+    body();
+    return;
+  }
+  std::exception_ptr task_error;
+  std::thread side([&] {
+    try {
+      task();
+    } catch (...) {
+      task_error = std::current_exception();
+    }
+  });
+  try {
+    body();
+  } catch (...) {
+    side.join();
+    throw;
+  }
+  side.join();
+  if (task_error) std::rethrow_exception(task_error);
 }
 
 }  // namespace gm

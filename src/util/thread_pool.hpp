@@ -96,4 +96,18 @@ void parallel_for(ThreadPool& pool, std::size_t n,
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t)>& body);
 
+/// True when the calling thread is a worker of any ThreadPool: the
+/// test the transient parallel_for makes, for code that runs several
+/// loops on one transient pool of its own and must run them inline
+/// there instead.
+bool on_pool_worker();
+
+/// Runs `task` on a thread of its own while `body` (typically a
+/// parallel loop) runs on the calling thread, and returns when both
+/// have finished, rethrowing the first exception, the body's before
+/// the task's. On a worker of any ThreadPool both run inline, `task`
+/// first, and no thread is started.
+void run_beside(const std::function<void()>& task,
+                const std::function<void()>& body);
+
 }  // namespace gm

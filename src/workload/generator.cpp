@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
@@ -47,50 +48,67 @@ void generate_foreground(const WorkloadSpec& spec, Rng& rng,
   if (fg.base_rate_per_s <= 0.0) return;
 
   const double horizon_s = days_to_s(spec.duration_days);
-  // rate(t) reads t only through its whole second, and thinning
-  // candidates come in increasing t, several a second, so a one-entry
-  // cache keyed on that second is exact.
-  SimTime cached_second = -1;
-  double cached_rate = 0.0;
-  const auto rate = [&](double t) {
-    const auto second = static_cast<SimTime>(t);
-    if (second != cached_second) {
-      const auto cal = calendar_of(second);
-      const bool weekend = cal.day_of_week >= 5;
-      cached_rate = fg.base_rate_per_s * fg.diurnal(cal.hour) *
-                    (weekend ? fg.weekend_factor : 1.0);
-      cached_second = second;
-    }
-    return cached_rate;
-  };
+  // rate(t) reads t only through its whole second, so a one-entry
+  // cache keyed on that second is exact; each copy the sampler makes
+  // is called in increasing t, several times a second, so it mostly
+  // hits. The cache lives in each copy, so the blocks share no state.
+  const std::function<double(double)> rate =
+      [&fg, cached_second = SimTime{-1},
+       cached_rate = 0.0](double t) mutable {
+        const auto second = static_cast<SimTime>(t);
+        if (second != cached_second) {
+          const auto cal = calendar_of(second);
+          const bool weekend = cal.day_of_week >= 5;
+          cached_rate = fg.base_rate_per_s * fg.diurnal(cal.hour) *
+                        (weekend ? fg.weekend_factor : 1.0);
+          cached_second = second;
+        }
+        return cached_rate;
+      };
   const double rate_max =
       fg.base_rate_per_s * fg.diurnal.max_value() *
       std::max(1.0, fg.weekend_factor);
 
   Rng arrivals_rng = rng.fork(0x41);
-  const auto arrivals =
-      sample_nhpp(arrivals_rng, 0.0, horizon_s, rate_max, rate);
+  Rng detail_rng = rng.fork(0x42);
+
+  // The walk of the detail stream copies the Rng at the start of every
+  // block; each block then replays its draws from that copy. The walk
+  // and the zero-filled request vector depend only on the request
+  // count, so they run beside the thinning up to a capacity estimate,
+  // and are trimmed, or extended, once the count is known.
+  std::vector<Rng> block_start;
+  std::size_t walked = 0;
+  const auto walk_to = [&](std::size_t count) {
+    for (; walked < count; ++walked) {
+      if (walked % kRequestBlock == 0) block_start.push_back(detail_rng);
+      draw_request(detail_rng);
+    }
+  };
+  const std::size_t estimate =
+      nhpp_capacity(0.0, horizon_s, rate_max, rate);
+  std::vector<double> arrivals;
+  run_beside(
+      [&] {
+        out.requests.resize(estimate);
+        block_start.reserve((estimate + kRequestBlock - 1) / kRequestBlock);
+        walk_to(estimate);
+      },
+      [&] {
+        arrivals = sample_nhpp(arrivals_rng, 0.0, horizon_s, rate_max, rate);
+      });
+  const std::size_t n = arrivals.size();
+  walk_to(n);
+  block_start.resize((n + kRequestBlock - 1) / kRequestBlock);
+  out.requests.resize(n);
 
   ZipfSampler zipf(
       static_cast<std::size_t>(std::min<std::uint64_t>(
           fg.object_count, 4'000'000ULL)),
       fg.zipf_exponent);
-  Rng detail_rng = rng.fork(0x42);
-
-  // One cheap serial walk of the detail stream copies the Rng at the
-  // start of every block. Each block then replays its draws from that
-  // copy and does the costly pure half (Zipf search, object hash,
+  // Each block does the costly pure half (Zipf search, object hash,
   // lognormal transform) into its own slice of the vector, so every
   // request gets exactly the uniforms a sequential loop gives it.
-  const std::size_t n = arrivals.size();
-  std::vector<Rng> block_start;
-  block_start.reserve((n + kRequestBlock - 1) / kRequestBlock);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i % kRequestBlock == 0) block_start.push_back(detail_rng);
-    draw_request(detail_rng);
-  }
-
-  out.requests.resize(n);
   parallel_for(block_start.size(), [&](std::size_t b) {
     Rng block_rng = block_start[b];
     const std::size_t end = std::min(n, (b + 1) * kRequestBlock);

@@ -6,7 +6,10 @@
 #include <cmath>
 #include <iterator>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/power_manager.hpp"
@@ -335,6 +338,59 @@ TEST(Engine, RejectsRequestsOutOfArrivalOrder) {
   std::iter_swap(it, std::next(it));
   requests.front().arrival = -1;
   EXPECT_THROW(SimulationEngine{event_config_with(w)}, InvalidArgument);
+}
+
+// The pool sums each slot's run of requests where the run starts; the
+// check names the first request that arrives before its predecessor,
+// whichever block finds it.
+TEST(Engine, NamesTheFirstRequestOutOfArrivalOrder) {
+  auto w = fast_workload();
+  auto& requests = w.requests;
+  ASSERT_GT(requests.size(), 4 * workload::kRequestBlock);
+  const auto swap_after = [&](std::size_t from) {
+    std::size_t i = from;
+    while (requests[i].arrival == requests[i + 1].arrival) ++i;
+    std::swap(requests[i], requests[i + 1]);
+    return i + 1;
+  };
+  // A later block holds a second inversion; the first one is named.
+  swap_after(3 * workload::kRequestBlock + 5);
+  const std::size_t first = swap_after(workload::kRequestBlock + 9);
+  const auto& r = requests[first];
+  std::ostringstream want;
+  want << "request " << r.id << " arrives at " << r.arrival << " after "
+       << requests[first - 1].arrival;
+  try {
+    SimulationEngine engine(event_config_with(w));
+    FAIL() << "unsorted requests accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(want.str()), std::string::npos)
+        << e.what();
+  }
+}
+
+// Each slot's foreground utilization is the serial fold of its
+// requests, from 0.0 in request order, bit for bit.
+TEST(Engine, ForegroundPassMatchesTheSerialFold) {
+  const auto config = fast_config(PolicyKind::kGreenMatch);
+  const SimulationEngine engine(config);
+  const auto& requests = engine.workload().requests;
+  ASSERT_GT(requests.size(), 4 * workload::kRequestBlock);
+  const auto& disk = config.cluster.node.disk;
+  std::vector<double> want(
+      static_cast<std::size_t>(engine.total_slots()) + 1, 0.0);
+  for (const auto& r : requests) {
+    const auto s = static_cast<std::size_t>(r.arrival / config.slot_length_s);
+    const double service =
+        disk.avg_seek_s +
+        static_cast<double>(r.size_bytes) / disk.bandwidth_bytes_per_s;
+    if (s < want.size())
+      want[s] += service * config.foreground_cpu_factor /
+                 static_cast<double>(config.slot_length_s);
+  }
+  for (std::size_t s = 0; s < want.size(); ++s)
+    ASSERT_EQ(engine.slot_fg_util(static_cast<SlotIndex>(s)), want[s])
+        << "slot " << s;
 }
 
 TEST(Engine, RejectsTasksOutOfReleaseOrder) {

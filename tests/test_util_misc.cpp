@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -409,6 +410,54 @@ TEST(ThreadPool, TransientHelper) {
     sum.fetch_add(static_cast<long>(i));
   });
   EXPECT_EQ(sum.load(), 500L * 499L / 2);
+}
+
+// run_beside starts one thread for the task and runs the body on the
+// caller; on a worker of any pool it starts nothing and runs the task,
+// then the body, inline.
+TEST(ThreadPool, RunBesideRunsTheTaskOnAThreadOfItsOwn) {
+  EXPECT_FALSE(on_pool_worker());
+  std::thread::id task_on, body_on;
+  std::atomic<bool> task_done{false};
+  run_beside(
+      [&] {
+        task_on = std::this_thread::get_id();
+        task_done = true;
+      },
+      [&] { body_on = std::this_thread::get_id(); });
+  EXPECT_TRUE(task_done.load());
+  EXPECT_EQ(body_on, std::this_thread::get_id());
+  EXPECT_NE(task_on, body_on);
+}
+
+TEST(ThreadPool, RunBesideRunsInlineOnAPoolWorker) {
+  ThreadPool outer(1);
+  std::thread::id worker;
+  std::vector<std::pair<char, std::thread::id>> ran;
+  bool on_worker = false;
+  parallel_for(outer, 1, [&](std::size_t) {
+    worker = std::this_thread::get_id();
+    on_worker = on_pool_worker();
+    run_beside([&] { ran.emplace_back('t', std::this_thread::get_id()); },
+               [&] { ran.emplace_back('b', std::this_thread::get_id()); });
+  });
+  EXPECT_TRUE(on_worker);
+  ASSERT_EQ(ran.size(), 2u);
+  EXPECT_EQ(ran[0].first, 't');
+  EXPECT_EQ(ran[1].first, 'b');
+  for (const auto& [what, id] : ran) EXPECT_EQ(id, worker) << what;
+}
+
+TEST(ThreadPool, RunBesideRethrowsTheBodysErrorFirst) {
+  std::atomic<bool> task_done{false};
+  const auto task_ok = [&] { task_done = true; };
+  const auto task_fails = [] { throw std::runtime_error("task"); };
+  const auto body_ok = [] {};
+  const auto body_fails = [] { throw std::invalid_argument("body"); };
+  EXPECT_THROW(run_beside(task_ok, body_fails), std::invalid_argument);
+  EXPECT_TRUE(task_done.load());  // joined before the rethrow
+  EXPECT_THROW(run_beside(task_fails, body_ok), std::runtime_error);
+  EXPECT_THROW(run_beside(task_fails, body_fails), std::invalid_argument);
 }
 
 TEST(IdSet, InsertAndContainsAcrossIdRanges) {

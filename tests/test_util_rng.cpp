@@ -5,11 +5,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "nhpp_oracle.hpp"
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
+#include "util/math_utils.hpp"
 #include "util/rng.hpp"
 
 namespace gm {
@@ -324,6 +330,205 @@ TEST(Nhpp, CrossSeedDeterminismAndDivergence) {
   for (std::size_t i = 0; !differs && i < ra.size(); ++i)
     differs = ra[i] != rc[i];
   EXPECT_TRUE(differs);
+}
+
+// ------------------------------------- Parallel sampler vs serial loop
+
+// sample_nhpp against the serial loop from the same Rng state: the
+// arrivals bit for bit (operator==, not the 4-ULP EXPECT_DOUBLE_EQ)
+// and the Rng state after the call.
+void expect_matches_oracle(const Rng& rng, double t0, double t1,
+                           double rate_max,
+                           const std::function<double(double)>& rate) {
+  Rng got_rng = rng;
+  Rng want_rng = rng;
+  const auto got = sample_nhpp(got_rng, t0, t1, rate_max, rate);
+  const auto want = test::serial_nhpp(want_rng, t0, t1, rate_max, rate);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << "arrival " << i;
+  for (int i = 0; i < 4; ++i)
+    ASSERT_EQ(got_rng.next(), want_rng.next()) << "Rng state, output " << i;
+}
+
+// The first n candidate times from `rng` on [t0, ∞): the running sums
+// of the gaps, each candidate's thinning uniform skipped.
+std::vector<double> candidate_times(Rng rng, double t0, double rate_max,
+                                    std::size_t n) {
+  std::vector<double> times;
+  double t = t0;
+  for (std::size_t i = 0; i < n; ++i) {
+    t += sample_exponential(rng, rate_max);
+    times.push_back(t);
+    rng.next();
+  }
+  return times;
+}
+
+// An interval end that makes candidate k the first at or past it.
+double end_stopping_at(const std::vector<double>& times, double t0,
+                       std::size_t k) {
+  return 0.5 * ((k == 0 ? t0 : times[k - 1]) + times[k]);
+}
+
+// A generator-like diurnal rate: base × a seeded day shape × a
+// weekend factor, cached per whole second in each copy of the
+// function, as the workload generator caches it.
+struct DiurnalRate {
+  double base = 1.0;
+  PiecewiseLinear day;
+  double weekend = 1.0;
+
+  double bound() const {
+    return base * day.max_value() * std::max(1.0, weekend);
+  }
+  std::function<double(double)> cached() const {
+    return [self = *this, second = std::int64_t{-1},
+            value = 0.0](double t) mutable {
+      const auto s = static_cast<std::int64_t>(t);
+      if (s != second) {
+        second = s;
+        const bool weekend_day = (s / 86400) % 7 >= 5;
+        value = self.base *
+                self.day(static_cast<double>(s % 86400) / 3600.0) *
+                (weekend_day ? self.weekend : 1.0);
+      }
+      return value;
+    };
+  }
+};
+
+DiurnalRate seeded_rate(Rng& params) {
+  DiurnalRate rate;
+  rate.base = params.uniform(0.05, 0.6);
+  std::vector<double> xs{0.0};
+  for (int i = 0; i < 5; ++i)
+    xs.push_back(xs.back() + params.uniform(1.0, 4.5));
+  xs.push_back(24.0);
+  std::vector<double> ys;
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    ys.push_back(params.uniform(0.1, 2.0));
+  rate.day = PiecewiseLinear(xs, ys);
+  rate.weekend = params.uniform(0.0, 1.6);
+  return rate;
+}
+
+// 24 seeded specs over one to nine days, so the weekend factor (above
+// 1 in some, where it sets rate_max) applies in most of them; the
+// longer ones take several waves.
+TEST(Nhpp, MatchesTheSerialLoopOnSeededSpecs) {
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng params(1000 + seed);
+    const DiurnalRate rate = seeded_rate(params);
+    const double days = static_cast<double>(1 + seed % 9);
+    const double t0 = seed % 3 == 0 ? params.uniform(0.0, 86400.0) : 0.0;
+    expect_matches_oracle(Rng(seed), t0, t0 + days * 86400.0, rate.bound(),
+                          rate.cached());
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Nhpp, IntervalShorterThanTheFirstGap) {
+  const Rng rng(101);
+  const auto times = candidate_times(rng, 5.0, 2.0, 1);
+  const double t1 = end_stopping_at(times, 5.0, 0);
+  Rng got = rng;
+  EXPECT_TRUE(sample_nhpp(got, 5.0, t1, 2.0, [](double) { return 1.0; })
+                  .empty());
+  expect_matches_oracle(rng, 5.0, t1, 2.0, [](double) { return 1.0; });
+}
+
+const auto kWavy = [](double t) { return 1.0 + std::sin(t / 500.0); };
+
+TEST(Nhpp, StopsOnTheLastCandidateOfABlock) {
+  const Rng rng(103);
+  const auto times = candidate_times(rng, 0.0, 2.0, 3 * kNhppBlock);
+  for (const std::size_t k : {kNhppBlock - 1, 2 * kNhppBlock - 1,
+                              3 * kNhppBlock - 1}) {
+    SCOPED_TRACE("stopping candidate " + std::to_string(k));
+    expect_matches_oracle(rng, 0.0, end_stopping_at(times, 0.0, k), 2.0,
+                          kWavy);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// A wave holds up to kNhppWaveBlocks blocks; an interval expected to
+// hold at least a wave of candidates fills the first wave, so the
+// candidate after it opens the next.
+TEST(Nhpp, StopsOnTheFirstCandidateOfAWave) {
+  constexpr std::size_t kWave = kNhppWaveBlocks * kNhppBlock;
+  const Rng rng(107);
+  const auto times = candidate_times(rng, 0.0, 2.0, 2 * kWave + 1);
+  for (const std::size_t k : {kWave, kWave + 1, 2 * kWave}) {
+    SCOPED_TRACE("stopping candidate " + std::to_string(k));
+    expect_matches_oracle(rng, 0.0, end_stopping_at(times, 0.0, k), 2.0,
+                          kWavy);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Nhpp, RejectsEveryCandidateAtRateZero) {
+  // ≈ 600 k candidates, three waves, none kept.
+  Rng rng(109);
+  const Rng start = rng;
+  EXPECT_TRUE(
+      sample_nhpp(rng, 0.0, 3e5, 2.0, [](double) { return 0.0; }).empty());
+  expect_matches_oracle(start, 0.0, 3e5, 2.0, [](double) { return 0.0; });
+}
+
+TEST(Nhpp, AcceptsEveryCandidateAtTheBound) {
+  Rng rng(113);
+  const Rng start = rng;
+  const auto arrivals =
+      sample_nhpp(rng, 0.0, 3e5, 2.0, [](double) { return 2.0; });
+  const auto times = candidate_times(start, 0.0, 2.0, arrivals.size() + 1);
+  ASSERT_GE(times.back(), 3e5);
+  for (std::size_t i = 0; i < arrivals.size(); ++i)
+    ASSERT_EQ(arrivals[i], times[i]) << "candidate " << i;
+  expect_matches_oracle(start, 0.0, 3e5, 2.0, [](double) { return 2.0; });
+}
+
+// nhpp_capacity samples the rate at cell midpoints, so a rate that is
+// zero there and at its bound around the cell edges draws far more
+// arrivals than the estimate, which sizes buffers and never output.
+TEST(Nhpp, CountAboveTheCapacityEstimate) {
+  const double cell = 8.0;
+  const double t1 = cell * kNhppCapacityCells;
+  const auto edges = [cell](double t) {
+    const double phase = t / cell - std::floor(t / cell);
+    return phase < 0.25 || phase >= 0.75 ? 2.0 : 0.0;
+  };
+  Rng rng(127);
+  const Rng start = rng;
+  const auto arrivals = sample_nhpp(rng, 0.0, t1, 2.0, edges);
+  EXPECT_GT(arrivals.size(), 100 * nhpp_capacity(0.0, t1, 2.0, edges));
+  expect_matches_oracle(start, 0.0, t1, 2.0, edges);
+}
+
+TEST(Nhpp, RateAboveTheBoundThrows) {
+  // Past t = 2e5 the rate exceeds its bound: the candidates there sit
+  // in a later block of the first wave.
+  Rng rng(131);
+  EXPECT_THROW(sample_nhpp(rng, 0.0, 3e5, 2.0,
+                           [](double t) { return t < 2e5 ? 1.0 : 2.5; }),
+               std::logic_error);
+  Rng oracle(131);
+  EXPECT_THROW(test::serial_nhpp(oracle, 0.0, 3e5, 2.0,
+                                 [](double t) { return t < 2e5 ? 1.0 : 2.5; }),
+               std::logic_error);
+}
+
+TEST(Nhpp, CapacityIsTheRateIntegralPlusAMargin) {
+  // A constant rate integrates exactly: mean 3,000, sd ≈ 54.8.
+  const auto cap = nhpp_capacity(0.0, 1000.0, 5.0, [](double) { return 3.0; });
+  EXPECT_EQ(cap, static_cast<std::size_t>(
+                     std::ceil(3000.0 + 6.0 * std::sqrt(3000.0) + 64.0)));
+  // Capped by the candidate count the bound allows.
+  EXPECT_EQ(nhpp_capacity(0.0, 1000.0, 1.0, [](double) { return 3.0; }),
+            static_cast<std::size_t>(
+                std::ceil(1000.0 + 6.0 * std::sqrt(1000.0) + 64.0)));
+  EXPECT_EQ(nhpp_capacity(5.0, 5.0, 1.0, [](double) { return 3.0; }), 64u);
 }
 
 // Determinism across all distributions, parameterized by seed.

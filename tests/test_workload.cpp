@@ -5,9 +5,14 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "nhpp_oracle.hpp"
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
+#include "util/math_utils.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/time_types.hpp"
@@ -180,12 +185,12 @@ TEST(Generator, ValidatesInput) {
 
 // ----------------------------------------------- Request draw oracle
 
-// The sequential request loop: one pass over the arrivals that draws
-// each request's rank, size and direction from the detail stream in
-// turn, with the rate evaluated afresh at every thinning candidate.
-// generate_workload splits these draws into a serial walk and a
-// parallel replay, and caches the rate; its requests must equal these
-// field for field.
+// The sequential request loop: the serial thinning loop, with the rate
+// evaluated afresh at every candidate, then one pass over the arrivals
+// that draws each request's rank, size and direction from the detail
+// stream in turn. generate_workload thins in parallel blocks, splits
+// the draws into a serial walk and a parallel replay, and caches the
+// rate; its requests must equal these field for field.
 std::vector<storage::IoRequest> reference_requests(const WorkloadSpec& spec) {
   const auto& fg = spec.foreground;
   std::vector<storage::IoRequest> out;
@@ -200,7 +205,7 @@ std::vector<storage::IoRequest> reference_requests(const WorkloadSpec& spec) {
                           std::max(1.0, fg.weekend_factor);
   const Rng rng(spec.seed);
   Rng arrivals_rng = rng.fork(0x41);
-  const auto arrivals = sample_nhpp(
+  const auto arrivals = test::serial_nhpp(
       arrivals_rng, 0.0, days_to_s(spec.duration_days), rate_max, rate);
   const ZipfSampler zipf(
       static_cast<std::size_t>(
@@ -305,6 +310,66 @@ TEST(GeneratorOracle, NegativeSizeSigmaThrows) {
   WorkloadSpec spec = multi_block_spec();
   spec.foreground.size_log_sigma = -0.5;
   EXPECT_THROW(generate_workload(spec, 64), InvalidArgument);
+}
+
+// 20 seeded specs varying the base rate, the length (one to nine days,
+// so weekends apply), the diurnal shape and the weekend factor, above
+// 1 in some, where it sets the thinning bound.
+TEST(GeneratorOracle, SeededSpecsMatchTheSerialOracle) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng params(2000 + seed);
+    WorkloadSpec spec = tiny_spec(1 + static_cast<int>(seed % 9), seed);
+    auto& fg = spec.foreground;
+    fg.base_rate_per_s = params.uniform(0.05, 0.5);
+    std::vector<double> xs{0.0};
+    for (int i = 0; i < 4; ++i)
+      xs.push_back(xs.back() + params.uniform(1.0, 5.5));
+    xs.push_back(24.0);
+    std::vector<double> ys;
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      ys.push_back(params.uniform(0.1, 2.0));
+    fg.diurnal = PiecewiseLinear(xs, ys);
+    fg.weekend_factor = params.uniform(0.0, 1.6);
+    const Workload w = generate_workload(spec, 64);
+    expect_same_requests(w.requests, reference_requests(spec));
+    if (HasFatalFailure()) return;
+  }
+}
+
+// The request vector and the detail-stream walk run beside the
+// thinning up to the capacity estimate and are extended when the count
+// exceeds it. A one-day diurnal that is zero at every midpoint the
+// estimate samples, with plateaus between them, draws far more
+// requests than the estimate.
+TEST(GeneratorOracle, RequestCountAboveTheCapacityEstimate) {
+  WorkloadSpec spec = tiny_spec(1, 17);
+  const double cell = 86400.0 / kNhppCapacityCells;
+  std::vector<double> xs{0.0};
+  std::vector<double> ys{0.0};
+  for (int i = 0; i + 1 < kNhppCapacityCells; ++i) {
+    const double lo = std::floor((i + 0.5) * cell) + 2.0;
+    const double hi = std::floor((i + 1.5) * cell) - 2.0;
+    for (const auto& [second, y] :
+         {std::pair{lo - 1.0, 0.0}, {lo, 1.0}, {hi, 1.0}, {hi + 1.0, 0.0}}) {
+      xs.push_back(second / 3600.0);
+      ys.push_back(y);
+    }
+  }
+  xs.push_back(24.0);
+  ys.push_back(0.0);
+  spec.foreground.diurnal = PiecewiseLinear(xs, ys);
+  spec.foreground.base_rate_per_s = 1.0;
+
+  const auto& fg = spec.foreground;
+  const auto rate = [&](double t) {
+    return fg.base_rate_per_s *
+           fg.diurnal(calendar_of(static_cast<SimTime>(t)).hour);
+  };
+  const std::size_t estimate = nhpp_capacity(0.0, 86400.0, 1.0, rate);
+  const Workload w = generate_workload(spec, 64);
+  ASSERT_GT(w.requests.size(), estimate + kRequestBlock);
+  expect_same_requests(w.requests, reference_requests(spec));
 }
 
 // On a pool worker the draw runs inline on that worker; the workload
