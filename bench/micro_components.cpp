@@ -22,6 +22,7 @@
 #include "energy/solar.hpp"
 #include "obs/recorder.hpp"
 #include "storage/cluster.hpp"
+#include "storage/placement_scan.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -138,10 +139,12 @@ core::ExperimentConfig massive_fleet_config(int scale) {
 
 // Cluster set-up (rendezvous placement of every group) at the fleet
 // tiers: 1,280 nodes / 1,024 groups at Arg(1), 10,240 / 8,192 at
-// Arg(8), 102,400 / 81,920 at Arg(80). One build per iteration.
+// Arg(8), 102,400 / 81,920 at Arg(80). One build per iteration. The
+// label names the scan kernel variant that ran (placement_scan.hpp).
 void BM_PlacementBuild(benchmark::State& state) {
   const auto config =
       massive_fleet_config(static_cast<int>(state.range(0))).cluster;
+  state.SetLabel(storage::scan_kernel().name);
   for (auto _ : state) {
     storage::Cluster cluster(config);
     benchmark::DoNotOptimize(cluster.node_count());

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -97,6 +98,24 @@ std::vector<NodeFailureEvent> parse_failure_events(
   return events;
 }
 
+/// Integer `key` of `kv`, or `fallback` when absent, narrowed to the
+/// field's type T; a value outside T's range is an InvalidArgument
+/// naming the key, not a silent wrap.
+template <class T>
+T get_int_as(const KeyValueConfig& kv, const std::string& key,
+             T fallback) {
+  const std::int64_t value =
+      kv.get_int_or(key, static_cast<std::int64_t>(fallback));
+  if (!std::in_range<T>(value)) {
+    std::ostringstream os;
+    os << "config key '" << key << "' = " << value << " is outside ["
+       << +std::numeric_limits<T>::min() << ", "
+       << +std::numeric_limits<T>::max() << "]";
+    throw InvalidArgument(os.str());
+  }
+  return static_cast<T>(value);
+}
+
 std::string echo_failure_events(
     const std::vector<NodeFailureEvent>& events) {
   std::ostringstream os;
@@ -112,21 +131,20 @@ std::string echo_failure_events(
 
 void apply_config(ExperimentConfig& config, const KeyValueConfig& kv) {
   // --- cluster -------------------------------------------------------
-  config.cluster.racks = static_cast<int>(
-      kv.get_int_or("cluster.racks", config.cluster.racks));
-  config.cluster.nodes_per_rack = static_cast<int>(kv.get_int_or(
-      "cluster.nodes_per_rack", config.cluster.nodes_per_rack));
-  config.cluster.placement.replication = static_cast<int>(kv.get_int_or(
-      "cluster.replication", config.cluster.placement.replication));
-  config.cluster.placement.group_count =
-      static_cast<std::uint32_t>(kv.get_int_or(
-          "cluster.groups", config.cluster.placement.group_count));
-  config.cluster.node.task_slots = static_cast<int>(kv.get_int_or(
-      "cluster.task_slots", config.cluster.node.task_slots));
+  config.cluster.racks =
+      get_int_as<int>(kv, "cluster.racks", config.cluster.racks);
+  config.cluster.nodes_per_rack = get_int_as<int>(
+      kv, "cluster.nodes_per_rack", config.cluster.nodes_per_rack);
+  config.cluster.placement.replication = get_int_as<int>(
+      kv, "cluster.replication", config.cluster.placement.replication);
+  config.cluster.placement.group_count = get_int_as<std::uint32_t>(
+      kv, "cluster.groups", config.cluster.placement.group_count);
+  config.cluster.node.task_slots =
+      get_int_as<int>(kv, "cluster.task_slots", config.cluster.node.task_slots);
 
   // --- workload ------------------------------------------------------
-  const int days = static_cast<int>(
-      kv.get_int_or("workload.days", config.workload.duration_days));
+  const int days =
+      get_int_as<int>(kv, "workload.days", config.workload.duration_days);
   const auto seed = static_cast<std::uint64_t>(
       kv.get_int_or("workload.seed",
                     static_cast<std::int64_t>(config.workload.seed)));
@@ -149,8 +167,8 @@ void apply_config(ExperimentConfig& config, const KeyValueConfig& kv) {
       kv.get_double_or("solar.latitude_deg", config.solar.latitude_deg);
   config.solar.seed = static_cast<std::uint64_t>(kv.get_int_or(
       "solar.seed", static_cast<std::int64_t>(config.solar.seed)));
-  config.solar.horizon_days = static_cast<int>(kv.get_int_or(
-      "solar.horizon_days", config.solar.horizon_days));
+  config.solar.horizon_days =
+      get_int_as<int>(kv, "solar.horizon_days", config.solar.horizon_days);
   config.solar_trace_csv =
       kv.get_string_or("solar.trace_csv", config.solar_trace_csv);
   config.use_wind = kv.get_bool_or("wind.enabled", config.use_wind);
@@ -158,8 +176,8 @@ void apply_config(ExperimentConfig& config, const KeyValueConfig& kv) {
       kv.get_double_or("wind.rated_kw",
                        config.wind.rated_power_w / 1000.0) *
       1000.0;
-  config.wind.horizon_days = static_cast<int>(kv.get_int_or(
-      "wind.horizon_days", config.wind.horizon_days));
+  config.wind.horizon_days =
+      get_int_as<int>(kv, "wind.horizon_days", config.wind.horizon_days);
 
   // --- battery -------------------------------------------------------
   // Rebuilding from the preset resets every battery field, so the
@@ -181,8 +199,8 @@ void apply_config(ExperimentConfig& config, const KeyValueConfig& kv) {
     config.policy.kind = parse_policy_kind(*kind);
   config.policy.deferral_fraction = kv.get_double_or(
       "policy.deferral", config.policy.deferral_fraction);
-  config.policy.horizon_slots = static_cast<int>(kv.get_int_or(
-      "policy.horizon", config.policy.horizon_slots));
+  config.policy.horizon_slots =
+      get_int_as<int>(kv, "policy.horizon", config.policy.horizon_slots);
   config.policy.battery_aware = kv.get_bool_or(
       "policy.battery_aware", config.policy.battery_aware);
   config.policy.carbon_aware = kv.get_bool_or(
@@ -201,8 +219,8 @@ void apply_config(ExperimentConfig& config, const KeyValueConfig& kv) {
       "policy.window_start_h", config.policy.window_start_h);
   config.policy.window_end_h = kv.get_double_or(
       "policy.window_end_h", config.policy.window_end_h);
-  config.policy.shards = static_cast<int>(
-      kv.get_int_or("scheduler.shards", config.policy.shards));
+  config.policy.shards =
+      get_int_as<int>(kv, "scheduler.shards", config.policy.shards);
 
   // --- simulation ----------------------------------------------------
   if (const auto fidelity = kv.get_string("sim.fidelity")) {
@@ -215,15 +233,15 @@ void apply_config(ExperimentConfig& config, const KeyValueConfig& kv) {
   }
   config.slot_length_s =
       kv.get_int_or("sim.slot_seconds", config.slot_length_s);
-  config.min_dwell_slots = static_cast<int>(
-      kv.get_int_or("sim.dwell_slots", config.min_dwell_slots));
-  config.max_drain_slots = static_cast<int>(
-      kv.get_int_or("sim.drain_slots", config.max_drain_slots));
+  config.min_dwell_slots =
+      get_int_as<int>(kv, "sim.dwell_slots", config.min_dwell_slots);
+  config.max_drain_slots =
+      get_int_as<int>(kv, "sim.drain_slots", config.max_drain_slots);
   config.dvfs_eco_speed =
       kv.get_double_or("sim.dvfs_eco_speed", config.dvfs_eco_speed);
   config.maid_enabled = kv.get_bool_or("sim.maid", config.maid_enabled);
-  config.maid_min_spinning_disks = static_cast<int>(kv.get_int_or(
-      "sim.maid_min_disks", config.maid_min_spinning_disks));
+  config.maid_min_spinning_disks =
+      get_int_as<int>(kv, "sim.maid_min_disks", config.maid_min_spinning_disks);
   config.noisy_forecast =
       kv.get_bool_or("forecast.noisy", config.noisy_forecast);
   config.forecast_noise.error_at_1h = kv.get_double_or(
@@ -253,8 +271,7 @@ void apply_config(ExperimentConfig& config, const KeyValueConfig& kv) {
       kv.get_double_or("arrivals.utilization", ar.utilization);
   ar.diurnal = kv.get_bool_or("arrivals.diurnal", ar.diurnal);
   auto& ad = config.admission;
-  ad.horizon_slots = static_cast<int>(
-      kv.get_int_or("admission.horizon", ad.horizon_slots));
+  ad.horizon_slots = get_int_as<int>(kv, "admission.horizon", ad.horizon_slots);
   ad.battery_reserve_soc = kv.get_double_or(
       "admission.battery_reserve_soc", ad.battery_reserve_soc);
   if (const auto overflow = kv.get_string("admission.overflow")) {

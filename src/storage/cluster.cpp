@@ -1,6 +1,7 @@
 #include "storage/cluster.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/assert.hpp"
 
@@ -9,13 +10,21 @@ namespace gm::storage {
 void ClusterConfig::validate() const {
   GM_CHECK(racks >= 1 && nodes_per_rack >= 1,
            "cluster needs at least one rack and node");
+  // total_nodes() is an int product; reject before it can overflow.
+  GM_CHECK(racks <= std::numeric_limits<int>::max() / nodes_per_rack,
+           "cluster of " << racks << " racks x " << nodes_per_rack
+                         << " nodes exceeds "
+                         << std::numeric_limits<int>::max() << " nodes");
   node.validate();
   placement.validate();
 }
 
 namespace {
 
+// Validates first: the placement member is built from these
+// descriptors before the constructor body runs.
 std::vector<NodeDescriptor> make_descriptors(const ClusterConfig& config) {
+  config.validate();
   std::vector<NodeDescriptor> descriptors;
   descriptors.reserve(config.total_nodes());
   NodeId id = 0;
@@ -30,7 +39,6 @@ std::vector<NodeDescriptor> make_descriptors(const ClusterConfig& config) {
 Cluster::Cluster(const ClusterConfig& config)
     : config_(config),
       placement_(config.placement, make_descriptors(config)) {
-  config_.validate();
   nodes_.reserve(config_.total_nodes());
   for (const auto& d : placement_.nodes())
     nodes_.emplace_back(d.id, d.rack, config_.node);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
+#include "storage/placement_scan.hpp"
 #include "util/assert.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
@@ -43,43 +45,44 @@ PlacementMap::PlacementMap(const PlacementConfig& config,
 
   // A group's replicas are its `replication` best nodes under
   // (score desc, node asc), at most one per rack when there are enough
-  // racks. Only a rack's best node can ever be chosen from it, so one
-  // pass keeps the best node per bucket (a rack, or a node when racks
+  // racks. Only a rack's best node can ever be chosen from it, so the
+  // scan takes each bucket's best node (a rack, or a node when racks
   // are too few to be disjoint) and a partial sort of the buckets
-  // yields the replicas in preference order.
-  std::vector<RackId> racks;
-  racks.reserve(nodes_.size());
-  for (const auto& n : nodes_) racks.push_back(n.rack);
-  std::sort(racks.begin(), racks.end());
-  racks.erase(std::unique(racks.begin(), racks.end()), racks.end());
+  // yields the replicas in preference order. The nodes are laid out
+  // bucket-major with ids ascending inside each bucket, so a bucket's
+  // best node is the first maximum of its tile (placement_scan.hpp).
+  std::vector<NodeDescriptor> by_rack = nodes_;
+  std::sort(by_rack.begin(), by_rack.end(),
+            [](const NodeDescriptor& a, const NodeDescriptor& b) {
+              return a.rack != b.rack ? a.rack < b.rack : a.id < b.id;
+            });
+  std::vector<NodeId> ids(by_rack.size());
+  std::vector<std::uint32_t> starts;
+  for (std::size_t i = 0; i < by_rack.size(); ++i) {
+    ids[i] = by_rack[i].id;
+    if (i == 0 || by_rack[i].rack != by_rack[i - 1].rack)
+      starts.push_back(static_cast<std::uint32_t>(i));
+  }
   const auto replication = static_cast<std::size_t>(config_.replication);
-  const bool rack_disjoint = racks.size() >= replication;
-  std::vector<std::uint32_t> bucket_of(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    bucket_of[i] =
-        rack_disjoint
-            ? static_cast<std::uint32_t>(
-                  std::lower_bound(racks.begin(), racks.end(),
-                                   nodes_[i].rack) -
-                  racks.begin())
-            : static_cast<std::uint32_t>(i);
-
-  struct Scored {
-    std::uint64_t score;
-    NodeId node;
-  };
-  const auto better = [](const Scored& a, const Scored& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.node < b.node;
-  };
-  const std::size_t buckets = rack_disjoint ? racks.size() : nodes_.size();
+  if (starts.size() < replication) {
+    starts.resize(ids.size());
+    std::iota(starts.begin(), starts.end(), 0U);
+  }
+  const std::size_t buckets = starts.size();
+  starts.push_back(static_cast<std::uint32_t>(ids.size()));
   const std::size_t take = std::min(replication, buckets);
+  const auto better = [&ids](const TileMax& a, const TileMax& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return ids[a.index] < ids[b.index];
+  };
+  const ScanTilesFn scan = scan_kernel().scan;
 
   // Groups are independent, so contiguous blocks of them run on the
   // pool, each with its own `best` buffer and writing only its own
   // groups' slice of the replica table. A block hashes ≈2²¹ nodes
-  // (≈7 ms), so a build smaller than that stays on the calling thread,
-  // where starting the pool would cost about what it saves.
+  // (≈3 ms with the x86-64-v4 kernel), so a build smaller than that
+  // stays on the calling thread, where starting the pool would cost
+  // about what it saves.
   constexpr std::size_t kHashesPerBlock = std::size_t{1} << 21;
   const std::size_t group_count = config_.group_count;
   replicas_per_group_ = take;
@@ -87,22 +90,16 @@ PlacementMap::PlacementMap(const PlacementConfig& config,
   const std::size_t block =
       std::max<std::size_t>(1, kHashesPerBlock / nodes_.size());
   parallel_for((group_count + block - 1) / block, [&](std::size_t b) {
-    std::vector<Scored> best(buckets);
+    std::vector<TileMax> best(buckets);
     const std::size_t end = std::min(group_count, (b + 1) * block);
     for (std::size_t g = b * block; g < end; ++g) {
-      const std::uint64_t group_key = mix_hash(config_.seed, g);
-      // kInvalidNode is never a real id, so every node beats the filler.
-      std::fill(best.begin(), best.end(), Scored{0, kInvalidNode});
-      for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const Scored s{mix_hash(group_key, nodes_[i].id), nodes_[i].id};
-        Scored& kept = best[bucket_of[i]];
-        if (better(s, kept)) kept = s;
-      }
+      scan(mix_hash(config_.seed, g), ids.data(), starts.data(), buckets,
+           best.data());
       std::partial_sort(best.begin(),
                         best.begin() + static_cast<std::ptrdiff_t>(take),
                         best.end(), better);
       NodeId* out = replicas_.data() + g * take;
-      for (std::size_t k = 0; k < take; ++k) out[k] = best[k].node;
+      for (std::size_t k = 0; k < take; ++k) out[k] = ids[best[k].index];
     }
   });
 

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/config_io.hpp"
+#include "storage/cluster.hpp"
 #include "util/assert.hpp"
 #include "util/config_kv.hpp"
 
@@ -184,6 +189,68 @@ TEST(ConfigIo, ValidatesResultingConfig) {
   // 30-day run exceeds the default 14-day solar horizon.
   const auto kv = KeyValueConfig::parse("workload.days = 30\n");
   EXPECT_THROW(core::apply_config(config, kv), InvalidArgument);
+}
+
+// Every integer key is narrowed to its field's type. A value that does
+// not fit must fail naming the key, not wrap: cluster.racks =
+// 4294967300 used to run a 4-rack cluster, and cluster.groups = -1
+// asked for 4,294,967,295 groups.
+TEST(ConfigIo, IntegerKeysOutOfRangeThrowNamingTheKey) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"cluster.racks", "4294967300"},
+      {"cluster.nodes_per_rack", "4294967300"},
+      {"cluster.replication", "4294967298"},
+      {"cluster.groups", "-1"},
+      {"cluster.groups", "4294967300"},
+      {"cluster.task_slots", "-4294967295"},
+      {"workload.days", "4294967298"},
+      {"solar.horizon_days", "2147483648"},
+      {"wind.horizon_days", "4294967310"},
+      {"policy.horizon", "4294967320"},
+      {"scheduler.shards", "4294967304"},
+      {"sim.dwell_slots", "-2147483649"},
+      {"sim.drain_slots", "4294967297"},
+      {"sim.maid_min_disks", "4294967298"},
+      {"admission.horizon", "4294967300"},
+  };
+  for (const auto& [key, value] : cases) {
+    auto config = core::ExperimentConfig::canonical();
+    try {
+      core::apply_config(config,
+                         KeyValueConfig::parse(key + " = " + value + "\n"));
+      ADD_FAILURE() << key << " = " << value << " was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find(value), std::string::npos) << what;
+    }
+  }
+  // The edge of a type still narrows; validation judges it.
+  auto config = core::ExperimentConfig::canonical();
+  core::apply_config(config,
+                     KeyValueConfig::parse("cluster.groups = 4294967295\n"));
+  EXPECT_EQ(config.cluster.placement.group_count, 4294967295u);
+}
+
+// total_nodes() is an int product, so validation rejects a cluster
+// whose node count exceeds INT_MAX before anything multiplies.
+TEST(ConfigIo, RejectsClustersBeyondIntMaxNodes) {
+  storage::ClusterConfig cluster;
+  cluster.racks = 65536;
+  cluster.nodes_per_rack = 32768;  // 2^31 nodes
+  EXPECT_THROW(cluster.validate(), InvalidArgument);
+  cluster.nodes_per_rack = 32767;  // 2,147,418,112 nodes
+  EXPECT_NO_THROW(cluster.validate());
+  cluster.racks = 2147483647;
+  cluster.nodes_per_rack = 2;
+  EXPECT_THROW(cluster.validate(), InvalidArgument);
+
+  auto config = core::ExperimentConfig::canonical();
+  EXPECT_THROW(core::apply_config(config, KeyValueConfig::parse(
+                                              "cluster.racks = 65536\n"
+                                              "cluster.nodes_per_rack = "
+                                              "32768\n")),
+               InvalidArgument);
 }
 
 TEST(ConfigIo, HelpMentionsEveryKeyFamily) {

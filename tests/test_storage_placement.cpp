@@ -1,7 +1,8 @@
 // Placement map tests: determinism, replication, rack-disjointness,
 // balance, stability under node-set changes, agreement with the
-// sort-and-scan reference selection, and node → groups lists that are
-// exactly the ascending inverse of the replica table.
+// sort-and-scan reference selection, node → groups lists that are
+// exactly the ascending inverse of the replica table, and every
+// variant of the scan kernel against a one-tile reference.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +10,11 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <unordered_set>
 
 #include "storage/placement.hpp"
+#include "storage/placement_scan.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -237,6 +240,12 @@ TEST(Placement, MatchesReferenceOnRackDisjointGrids) {
   PlacementConfig reseeded = config_with(2, 256);
   reseeded.seed = 99;
   expect_matches_reference(reseeded, grid_nodes(3, 5));
+  // Racks off the scan kernel's lane width: 13 nodes end every tile
+  // with a partial chunk, 2 nodes are shorter than any lane count and
+  // 1 node is a tile of one id on the rack-disjoint path.
+  expect_matches_reference(config_with(3, 256), grid_nodes(9, 13));
+  expect_matches_reference(config_with(3, 64), grid_nodes(700, 2));
+  expect_matches_reference(config_with(3, 256), grid_nodes(100, 1));
 }
 
 TEST(Placement, MatchesReferenceWithFewerRacksThanReplicas) {
@@ -288,6 +297,138 @@ TEST(Placement, PoolWorkerBuildMatchesTestThreadBuild) {
     ASSERT_TRUE(
         std::ranges::equal(on_worker->groups_on(n.id), here.groups_on(n.id)))
         << "node " << n.id;
+}
+
+// The scan kernels, each called directly rather than through the
+// dispatch, so a CPU that runs the widest still tests the others.
+// Every tile's answer must be the reference first maximum: the highest
+// mix_hash score at the smallest index.
+TileMax reference_first_max(std::uint64_t key,
+                            const std::vector<NodeId>& ids,
+                            std::uint32_t begin, std::uint32_t end) {
+  TileMax best{mix_hash(key, ids[begin]), begin};
+  for (std::uint32_t i = begin + 1; i < end; ++i)
+    if (mix_hash(key, ids[i]) > best.score)
+      best = {mix_hash(key, ids[i]), i};
+  return best;
+}
+
+void expect_scan_matches_reference(const ScanKernel& kernel,
+                                   std::uint64_t key,
+                                   const std::vector<NodeId>& ids,
+                                   const std::vector<std::uint32_t>& starts) {
+  std::vector<TileMax> out(starts.size() - 1);
+  kernel.scan(key, ids.data(), starts.data(), out.size(), out.data());
+  for (std::size_t t = 0; t < out.size(); ++t) {
+    const TileMax want = reference_first_max(key, ids, starts[t],
+                                             starts[t + 1]);
+    ASSERT_EQ(out[t].score, want.score)
+        << kernel.name << " tile " << t << " of length "
+        << starts[t + 1] - starts[t];
+    ASSERT_EQ(out[t].index, want.index)
+        << kernel.name << " tile " << t << " of length "
+        << starts[t + 1] - starts[t];
+  }
+}
+
+void expect_one_tile(const ScanKernel& kernel, std::uint64_t key,
+                     const std::vector<NodeId>& ids) {
+  expect_scan_matches_reference(
+      kernel, key, ids, {0, static_cast<std::uint32_t>(ids.size())});
+}
+
+void check_scan_kernel(std::string_view name) {
+  const ScanKernel* kernel = nullptr;
+  for (const auto& k : scan_kernels())
+    if (k.name == name) kernel = &k;
+  if (kernel == nullptr)
+    GTEST_SKIP() << "scan kernel " << name
+                 << " is not built for this target";
+  if (!kernel->supported)
+    GTEST_SKIP() << "scan kernel " << name << " needs an ISA this CPU lacks";
+
+  std::vector<std::uint32_t> lengths;
+  for (std::uint32_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {80, 81, 1000});
+  Rng rng(23);
+  const std::uint64_t key = mix_hash(7, 1234);
+  for (const std::uint32_t n : lengths) {
+    // Random ids, some repeated, so equal scores occur.
+    std::vector<NodeId> ids(n);
+    for (auto& id : ids)
+      id = static_cast<NodeId>(rng.uniform_u64(2 * std::uint64_t{n}));
+    expect_one_tile(*kernel, key, ids);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // The maximum at every position of a short tile, and in the first,
+    // middle and last lanes and ids of a long one, alone and tied with
+    // a later copy of itself. `top` scores highest of all the ids.
+    std::vector<NodeId> pool(n + 1);
+    for (auto& id : pool) id = static_cast<NodeId>(rng.next());
+    const NodeId top = *std::max_element(
+        pool.begin(), pool.end(), [&](NodeId a, NodeId b) {
+          return mix_hash(key, a) < mix_hash(key, b);
+        });
+    std::erase_if(pool, [&](NodeId id) {
+      return mix_hash(key, id) == mix_hash(key, top);
+    });
+    pool.resize(n, pool.empty() ? top + 1 : pool.front());
+    std::set<std::uint32_t> positions;
+    if (n <= 17) {
+      for (std::uint32_t p = 0; p < n; ++p) positions.insert(p);
+    } else {
+      positions = {0, 1, 3, 4, 7, 8, n / 2, n - 8, n - 5, n - 4, n - 1};
+    }
+    for (const std::uint32_t p : positions) {
+      std::vector<NodeId> tile = pool;
+      tile[p] = top;
+      expect_one_tile(*kernel, key, tile);
+      for (std::uint32_t q = p + 1; q < n; q += 3) {
+        std::vector<NodeId> tied = tile;
+        tied[q] = top;
+        expect_one_tile(*kernel, key, tied);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+
+    // Every id the same: all lanes tie and the first index wins.
+    expect_one_tile(*kernel, key, std::vector<NodeId>(n, 42));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+
+  // Tiles of every length back to back in one call.
+  std::vector<NodeId> ids;
+  std::vector<std::uint32_t> starts{0};
+  for (const std::uint32_t n : lengths) {
+    for (std::uint32_t i = 0; i < n; ++i)
+      ids.push_back(static_cast<NodeId>(ids.size()));
+    starts.push_back(static_cast<std::uint32_t>(ids.size()));
+  }
+  for (std::uint64_t g = 0; g < 32; ++g)
+    expect_scan_matches_reference(*kernel, mix_hash(7, g), ids, starts);
+}
+
+TEST(PlacementScan, ScalarKernelMatchesReference) {
+  check_scan_kernel("scalar");
+}
+
+TEST(PlacementScan, Avx2KernelMatchesReference) {
+  check_scan_kernel("x86-64-v3");
+}
+
+TEST(PlacementScan, Avx512KernelMatchesReference) {
+  check_scan_kernel("x86-64-v4");
+}
+
+TEST(PlacementScan, DispatchPicksTheWidestSupportedKernel) {
+  const auto kernels = scan_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(std::string_view(kernels.front().name), "scalar");
+  EXPECT_TRUE(kernels.front().supported);
+  const ScanKernel* widest = nullptr;
+  for (const auto& k : kernels)
+    if (k.supported) widest = &k;
+  EXPECT_EQ(&scan_kernel(), widest);
 }
 
 TEST(Placement, ValidationErrors) {
